@@ -297,11 +297,21 @@ def _bnb_component(adj: Sequence[int], n: int, k: int) -> tuple[int, list[int], 
     """Exact optimum on one connected component, plus its lex-min witness.
 
     Phase 1 finds the optimal value branching on vertices by descending
-    degree with label 0 tried first, pruning on (nonzero count >= incumbent)
-    and on zero vertices whose unassigned neighbors can no longer supply all
-    missing colors.  Phase 2 re-runs the search in vertex index order against
-    the now-known optimum and returns the first completion, which is the
-    lexicographically smallest optimal labeling.
+    degree with label 0 tried first.  Phase 2 re-runs the search in vertex
+    index order against the now-known optimum and returns the first
+    completion, which is the lexicographically smallest optimal labeling.
+    Both phases prune:
+
+    - on zero vertices whose unassigned neighbors can no longer supply all
+      missing colors;
+    - on weight: a vertex of degree < k can never be 0, so the nonzero count
+      plus the number of such vertices still unassigned bounds every
+      completion from below;
+    - on color symmetry: a vertex takes 0, a color already used, or the next
+      unused color ``max_used + 1``, so each relabeling of the color classes
+      is searched once.  The lex-min optimum survives, because it uses its
+      colors in first-use order: swapping c and c + 1 in a labeling where
+      c + 1 appears first gives a lex-smaller optimum.
     """
     all_colors = ((1 << k) - 1) << 1
     nbrs = [tuple(bits(row)) for row in adj]
@@ -316,10 +326,15 @@ def _bnb_component(adj: Sequence[int], n: int, k: int) -> tuple[int, list[int], 
         best_val = cap
         best_labels: Optional[list[int]] = None
         nonzero = 0
+        max_used = 0
+        # forced_after[pos]: vertices of degree < k among order[pos:]
+        forced_after = [0] * (n + 1)
+        for pos in range(n - 1, -1, -1):
+            forced_after[pos] = forced_after[pos + 1] + (adj[order[pos]].bit_count() < k)
 
         def place(pos: int) -> bool:
-            nonlocal nodes, best_val, best_labels, nonzero
-            if nonzero >= best_val + (1 if stop_at_cap else 0):
+            nonlocal nodes, best_val, best_labels, nonzero, max_used
+            if nonzero + forced_after[pos] >= best_val + (1 if stop_at_cap else 0):
                 return False
             if pos == n:
                 if stop_at_cap:
@@ -329,7 +344,8 @@ def _bnb_component(adj: Sequence[int], n: int, k: int) -> tuple[int, list[int], 
                 return False
             v = order[pos]
             row = adj[v]
-            for color in range(k + 1):
+            prev_max = max_used
+            for color in range(min(prev_max + 1, k) + 1):
                 nodes += 1
                 if color == 0:
                     missing = all_colors & ~seen[v]
@@ -352,9 +368,11 @@ def _bnb_component(adj: Sequence[int], n: int, k: int) -> tuple[int, list[int], 
                     if color:
                         masks[color] |= 1 << v
                         nonzero += 1
+                        max_used = max(prev_max, color)
                         for u in nbrs[v]:
                             seen[u] |= cbit
                     done = place(pos + 1)
+                    max_used = prev_max
                     if color:
                         masks[color] &= ~(1 << v)
                         nonzero -= 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from gtools import (
     graphs,
+    ilp_gamma_rik,
     random_graph,
     random_valid_partial,
     ref_domination_number,
@@ -172,7 +173,7 @@ def test_brute_witness_is_lexicographically_smallest():
 def test_bnb_matches_brute_values_and_witnesses_small():
     for n in range(7):
         for g in enumerate_nonisomorphic(n):
-            for k in (1, 2):
+            for k in (1, 2, 3):
                 a = gamma_brute(g, k)
                 b = gamma_bnb(g, k)
                 assert a.value == b.value, encode_graph6(g)
@@ -187,7 +188,35 @@ def test_bnb_matches_brute_on_seeded_random_graphs():
         k = rng.randint(1, 3)
         if (k + 1) ** n > 3**12:
             continue
-        assert gamma_bnb(g, k).value == gamma_brute(g, k).value
+        a = gamma_brute(g, k)
+        b = gamma_bnb(g, k)
+        assert a.value == b.value, encode_graph6(g)
+        assert a.witness == b.witness, encode_graph6(g)
+
+
+@pytest.mark.parametrize("n", [25, 30])
+def test_bnb_bounds_cycles_by_forced_nonzero_vertices(n):
+    # at k=3 every vertex of C_n has degree 2 < k, so none can be 0; the
+    # bound proves the all-nonzero value at once instead of exhausting
+    # the colorings (C25 alone used to take minutes)
+    res = gamma_bnb(cycle_graph(n), 3)
+    assert res.value == n
+    assert res.witness.to_text() == " ".join(["1 2"] * (n // 2) + ["3"] * (n % 2))
+    assert validate(cycle_graph(n), res.witness) == []
+    assert res.nodes_explored <= 1_000
+
+
+def test_bnb_matches_ilp_beyond_brute_reach():
+    pytest.importorskip("scipy")
+    rng = random.Random(31)
+    # sparse and dense G(n, p) keep bnb fast at these orders; mid-density
+    # graphs at k=3 take it seconds each
+    for n, p, k in [(20, 0.3, 2), (22, 0.1, 3), (24, 0.5, 2), (24, 0.1, 3),
+                    (26, 0.1, 2), (28, 0.1, 3), (28, 0.5, 2)]:
+        g = random_graph(rng, n, p)
+        res = gamma_bnb(g, k)
+        assert res.value == ilp_gamma_rik(g, k), encode_graph6(g)
+        assert validate(g, res.witness) == [], encode_graph6(g)
 
 
 def test_one_color_value_is_independent_domination():
@@ -206,9 +235,10 @@ def test_brute_budget_refusal_names_the_alternative():
     with pytest.raises(BudgetExceededError) as exc:
         gamma_brute(Graph.empty(13), 2)
     assert "gamma_bnb" in str(exc.value)
-    # a raised budget admits the same instance
-    roomy = SolverBudget(max_labelings=3**13)
-    assert gamma_brute(Graph.empty(13), 2, roomy).value == 13
+    # the budget bounds (k+1)^n inclusively: exactly 3^6 admits n=6
+    assert gamma_brute(Graph.empty(6), 2, SolverBudget(max_labelings=3**6)).value == 6
+    with pytest.raises(BudgetExceededError):
+        gamma_brute(Graph.empty(6), 2, SolverBudget(max_labelings=3**6 - 1))
 
 
 def test_values_never_exceed_vertex_count():
