@@ -6,17 +6,29 @@ built-in labeled enumerator.  Every subcommand writes one record line per
 graph followed by a JSON summary line, and identical inputs produce
 byte-identical reports regardless of worker count.  Exit codes: 0 success,
 1 bound violation or oracle mismatch, 2 usage or input error.
+
+``ng --workers N`` streams the input graphs through a process pool in tasks
+of ``NG_CHUNK`` graphs, with at most ``2 * N`` tasks in flight
+(``--workers 1`` runs the same tasks inline, one at a time).  The parent remembers the two
+values of each returned record, up to ``NG_KNOWN_MAX`` of them, first in
+first out, and seeds each new task's cache with those its graphs and their
+complements need.  In ``--enumerate`` order the complement of edge mask m
+is mask 2^E - 1 - m, so the second half of an enumeration is answered from
+the first.  Which values seed a task depends only on its position in the
+stream, so the report and the solver's work are the same on every run.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import OrderedDict, deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence
 
 from .families import Family, classify_graph, is_trivial_components, predict_gamma_ri2
 from .graphs import (
@@ -31,7 +43,14 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .nordhaus import GammaCache, NGRecord, ng_record, report_from_records
+from .nordhaus import (
+    GammaCache,
+    GammaKey,
+    NGRecord,
+    cache_keys,
+    ng_record,
+    report_from_records,
+)
 from .reduction import bipartition, build_reduction, serialize_instance, verify_reduction
 from .solver import (
     BudgetExceededError,
@@ -44,6 +63,11 @@ from .solver import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+
+# ``ng`` hands the pool this many graphs per task, and the parent keeps at
+# most this many known values to seed later tasks with
+NG_CHUNK = 512
+NG_KNOWN_MAX = 1 << 16
 
 
 class InputError(Exception):
@@ -61,6 +85,7 @@ class RunConfig:
     k: int = 2
     max_labelings: int = SolverBudget().max_labelings
     max_subsets: int = SolverBudget().max_subsets
+    max_nodes: int = SolverBudget().max_nodes
     workers: int = 1
     input_path: Optional[str] = None
     enumerate_n: Optional[int] = None
@@ -73,7 +98,7 @@ class RunConfig:
 
     @property
     def budget(self) -> SolverBudget:
-        return SolverBudget(self.max_labelings, self.max_subsets)
+        return SolverBudget(self.max_labelings, self.max_subsets, self.max_nodes)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,6 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget-subsets", dest="max_subsets", type=int,
                         default=SolverBudget().max_subsets,
                         help="cap on 2^n for subset enumeration")
+        sp.add_argument("--budget-nodes", dest="max_nodes", type=int,
+                        default=SolverBudget().max_nodes,
+                        help="cap on branch-and-bound nodes per graph")
 
     common(sub.add_parser("solve", help="labeling value and witness per graph"), True)
     common(sub.add_parser("classify", help="structural family classification"), False)
@@ -135,6 +163,21 @@ def _read_text(cfg: RunConfig) -> tuple[str, str]:
     return sys.stdin.read(), "<stdin>"
 
 
+def _graph6_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, stripped text) for every graph6 line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and stripped != ">>graph6<<":
+            yield lineno, stripped
+
+
+def _parse_line(lineno: int, text: str) -> Graph:
+    try:
+        return parse_graph6(text)
+    except (Graph6ParseError, UnsupportedSizeError, ValueError) as err:
+        raise InputError(lineno, str(err)) from err
+
+
 def _iter_inputs(cfg: RunConfig) -> Iterator[tuple[int, Graph]]:
     """Yield (line number, graph) pairs from the configured source."""
     if cfg.enumerate_n is not None and cfg.input_path is not None:
@@ -152,14 +195,8 @@ def _iter_inputs(cfg: RunConfig) -> Iterator[tuple[int, Graph]]:
         except ValueError as err:
             raise InputError(1, str(err)) from err
         return
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped == ">>graph6<<":
-            continue
-        try:
-            yield lineno, parse_graph6(stripped)
-        except (Graph6ParseError, UnsupportedSizeError, ValueError) as err:
-            raise InputError(lineno, str(err)) from err
+    for lineno, stripped in _graph6_lines(text):
+        yield lineno, _parse_line(lineno, stripped)
 
 
 class _Report:
@@ -192,7 +229,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     report = _Report(cfg)
     count = 0
     for _, g in _iter_inputs(cfg):
-        res = gamma_bnb(g, cfg.k)
+        res = gamma_bnb(g, cfg.k, cfg.budget)
         report.add("\t".join((
             encode_graph6(g), str(g.n), str(cfg.k), str(res.value), res.witness.to_text(),
         )))
@@ -230,24 +267,60 @@ def _cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _ng_chunk(lines: Sequence[str]) -> list[NGRecord]:
-    cache: GammaCache = {}
-    return [ng_record(parse_graph6(text), cache) for text in lines]
+def _ng_chunk(graphs: Sequence[Graph], seeds: GammaCache) -> list[NGRecord]:
+    """One task: the records of ``graphs``, starting from the known ``seeds``."""
+    return [ng_record(g, seeds) for g in graphs]
+
+
+class _InlinePool:
+    """Runs each task when it is submitted: the pool of ``--workers 1``."""
+
+    def submit(self, fn, *args) -> Future:
+        fut: Future = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def _ng_stream(
+    cfg: RunConfig, pool: ProcessPoolExecutor | _InlinePool, window: int
+) -> Iterator[NGRecord]:
+    """Records of the input stream in order, computed ``NG_CHUNK`` graphs a task.
+
+    At most ``window`` tasks are in flight, and a full window waits for its
+    oldest task, so the values that seed a task depend only on its position,
+    never on timing.  ``known`` holds the last ``NG_KNOWN_MAX`` values
+    returned (first in, first out); each task gets those its graphs and
+    their complements need.
+    """
+    graphs = (g for _, g in _iter_inputs(cfg) if g.n >= cfg.min_n)
+    known: OrderedDict[GammaKey, int] = OrderedDict()
+    pending: deque[tuple[Future, list[tuple[GammaKey, GammaKey]]]] = deque()
+
+    def oldest() -> list[NGRecord]:
+        fut, keys = pending.popleft()
+        recs = fut.result()
+        for (key, ckey), rec in zip(keys, recs):
+            known[key] = rec.gamma
+            known[ckey] = rec.gamma_comp
+        while len(known) > NG_KNOWN_MAX:
+            known.popitem(last=False)
+        return recs
+
+    while batch := list(itertools.islice(graphs, NG_CHUNK)):
+        if len(pending) == window:
+            yield from oldest()
+        keys = [cache_keys(g) for g in batch]
+        seeds = {key: known[key] for pair in keys for key in pair if key in known}
+        pending.append((pool.submit(_ng_chunk, batch, seeds), keys))
+    while pending:
+        yield from oldest()
 
 
 def _ng_records(cfg: RunConfig) -> list[NGRecord]:
-    inputs = [(lineno, g) for lineno, g in _iter_inputs(cfg) if g.n >= cfg.min_n]
-    if cfg.workers <= 1:
-        cache: GammaCache = {}
-        return [ng_record(g, cache) for _, g in inputs]
-    encoded = [encode_graph6(g) for _, g in inputs]
-    step = max(1, -(-len(encoded) // cfg.workers))
-    chunks = [encoded[i:i + step] for i in range(0, len(encoded), step)]
-    out: list[NGRecord] = []
+    if cfg.workers == 1:
+        return list(_ng_stream(cfg, _InlinePool(), window=1))
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        for recs in pool.map(_ng_chunk, chunks):
-            out.extend(recs)
-    return out
+        return list(_ng_stream(cfg, pool, window=2 * cfg.workers))
 
 
 def _cmd_ng(cfg: RunConfig) -> int:
@@ -347,15 +420,8 @@ def _cmd_codec(cfg: RunConfig) -> int:
         if cfg.enumerate_n is not None:
             raise InputError(0, "--roundtrip needs graph6 input lines")
         text, _ = _read_text(cfg)
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.strip()
-            if not stripped or stripped == ">>graph6<<":
-                continue
-            try:
-                g = parse_graph6(stripped)
-            except (Graph6ParseError, UnsupportedSizeError) as err:
-                raise InputError(lineno, str(err)) from err
-            out = encode_graph6(g)
+        for lineno, stripped in _graph6_lines(text):
+            out = encode_graph6(_parse_line(lineno, stripped))
             bare = stripped.removeprefix(">>graph6<<")
             report.add(out)
             count += 1

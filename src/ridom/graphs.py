@@ -109,9 +109,14 @@ class Graph:
         return cls(n, (0,) * n)
 
 
-def complement(g: Graph) -> Graph:
+def complement_rows(g: Graph) -> tuple[int, ...]:
+    """Adjacency rows of the complement, without building a validated ``Graph``."""
     full = g.full_mask
-    return Graph(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj)))
+    return tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj))
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, complement_rows(g))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -175,6 +180,9 @@ def components(g: Graph) -> ComponentDecomposition:
                 grow |= g.adj[v]
             frontier = grow & ~comp
             comp |= grow
+        if comp == g.full_mask:
+            # connected: the graph is its own single part, already validated
+            return ComponentDecomposition(((g, tuple(range(g.n))),))
         parts.append(induced_subgraph(g, comp))
         remaining &= ~comp
     return ComponentDecomposition(tuple(parts))

@@ -21,6 +21,7 @@ from .graphs import (
     UnsupportedSizeError,
     canonical_form,
     complement,
+    complement_rows,
     encode_graph6,
     is_connected,
 )
@@ -79,24 +80,30 @@ def _status(n: int, c5: bool, total: int) -> str:
     return STATUS_IN_RANGE
 
 
-GammaCache = dict[tuple[int, tuple[int, ...]], int]
+GammaKey = tuple[int, tuple[int, ...]]
+GammaCache = dict[GammaKey, int]
 
 
-def _gamma2(g: Graph, cache: Optional[GammaCache]) -> int:
-    if cache is None:
-        return gamma_bnb(g, 2).value
-    key = (g.n, g.adj)
-    val = cache.get(key)
-    if val is None:
-        val = gamma_bnb(g, 2).value
-        cache[key] = val
-    return val
+def cache_keys(g: Graph) -> tuple[GammaKey, GammaKey]:
+    """The ``GammaCache`` keys of ``g`` and of its complement."""
+    return (g.n, g.adj), (g.n, complement_rows(g))
 
 
 def ng_record(g: Graph, cache: Optional[GammaCache] = None) -> NGRecord:
-    """Exact sum record for one graph, with its bound classification."""
-    gamma = _gamma2(g, cache)
-    gamma_comp = _gamma2(complement(g), cache)
+    """Exact sum record for one graph, with its bound classification.
+
+    ``cache`` maps the keys of :func:`cache_keys` to known values and gains
+    the values solved here; the complement is built only when its value is
+    not in it.
+    """
+    cache = {} if cache is None else cache
+    key, ckey = cache_keys(g)
+    gamma = cache.get(key)
+    if gamma is None:
+        gamma = cache[key] = gamma_bnb(g, 2).value
+    gamma_comp = cache.get(ckey)
+    if gamma_comp is None:
+        gamma_comp = cache[ckey] = gamma_bnb(complement(g), 2).value
     total = gamma + gamma_comp
     return NGRecord(
         graph6=encode_graph6(g),

@@ -36,11 +36,13 @@ class SolverBudget:
 
     ``max_labelings`` bounds ``(k+1)**n`` for labeling enumeration (default
     3**12, i.e. n = 12 at k = 2).  ``max_subsets`` bounds ``2**n`` for
-    vertex-subset enumeration (default n = 24).
+    vertex-subset enumeration (default n = 24).  ``max_nodes`` bounds the
+    search nodes of one ``gamma_bnb`` call (default 10**8, a few minutes).
     """
 
     max_labelings: int = 3**12
     max_subsets: int = 1 << 24
+    max_nodes: int = 10**8
 
 
 DEFAULT_BUDGET = SolverBudget()
@@ -293,7 +295,9 @@ def _greedy_weight(adj: Sequence[int], n: int, k: int) -> int:
     return w
 
 
-def _bnb_component(adj: Sequence[int], n: int, k: int) -> tuple[int, list[int], int]:
+def _bnb_component(
+    adj: Sequence[int], n: int, k: int, max_nodes: int, spent: int
+) -> tuple[int, list[int], int]:
     """Exact optimum on one connected component, plus its lex-min witness.
 
     Phase 1 finds the optimal value branching on vertices by descending
@@ -312,8 +316,12 @@ def _bnb_component(adj: Sequence[int], n: int, k: int) -> tuple[int, list[int], 
       is searched once.  The lex-min optimum survives, because it uses its
       colors in first-use order: swapping c and c + 1 in a labeling where
       c + 1 appears first gives a lex-smaller optimum.
+
+    Raises :class:`BudgetExceededError` once this search's nodes plus the
+    ``spent`` ones (on the graph's earlier components) exceed ``max_nodes``.
     """
     all_colors = ((1 << k) - 1) << 1
+    limit = max_nodes - spent
     nbrs = [tuple(bits(row)) for row in adj]
     nodes = 0
 
@@ -334,6 +342,10 @@ def _bnb_component(adj: Sequence[int], n: int, k: int) -> tuple[int, list[int], 
 
         def place(pos: int) -> bool:
             nonlocal nodes, best_val, best_labels, nonzero, max_used
+            if nodes > limit:
+                raise BudgetExceededError(
+                    f"branch and bound exceeded the budget of {max_nodes} nodes"
+                )
             if nonzero + forced_after[pos] >= best_val + (1 if stop_at_cap else 0):
                 return False
             if pos == n:
@@ -402,20 +414,22 @@ def _bnb_component(adj: Sequence[int], n: int, k: int) -> tuple[int, list[int], 
     return value, witness, nodes
 
 
-def gamma_bnb(g: Graph, k: int) -> SolveResult:
+def gamma_bnb(g: Graph, k: int, budget: SolverBudget | None = None) -> SolveResult:
     """Branch-and-bound solver; decomposes into connected components.
 
     Feasibility is component-local and the weight is additive, so each
     component is solved on its own and the per-component lex-min witnesses
-    compose into the global lex-min optimal labeling.
+    compose into the global lex-min optimal labeling.  The components share
+    ``budget.max_nodes``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    budget = budget or DEFAULT_BUDGET
     labels = [0] * g.n
     total = 0
     nodes = 0
     for part, vmap in components(g).parts:
-        val, wit, explored = _bnb_component(part.adj, part.n, k)
+        val, wit, explored = _bnb_component(part.adj, part.n, k, budget.max_nodes, nodes)
         total += val
         nodes += explored
         for local, orig in zip(wit, vmap):
@@ -511,7 +525,7 @@ def prism_check(g: Graph, k: int, budget: SolverBudget | None = None) -> PrismRe
     dominating set of the same size.
     """
     budget = budget or DEFAULT_BUDGET
-    gamma = gamma_bnb(g, k)
+    gamma = gamma_bnb(g, k, budget)
     prism = prism_product(g, k)
     ids = independent_domination(prism, budget)
     lifted = 0

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from ridom import cli, nordhaus
 from ridom.cli import run
-from ridom.graphs import cycle_graph, encode_graph6, star_graph
+from ridom.graphs import cycle_graph, encode_graph6, enumerate_labeled_graphs, star_graph
+from ridom.nordhaus import ng_record
 
 
 def last_json(text: str) -> dict:
@@ -49,6 +51,14 @@ def test_solve_accepts_edge_lists(tmp_path, capsys):
     assert run(["solve", "--input", str(src)]) == 0
     record = capsys.readouterr().out.splitlines()[0].split("\t")
     assert record[3] == "3"
+
+
+def test_solve_node_budget_refuses(tmp_path, capsys):
+    src = write_lines(tmp_path / "in.g6", [encode_graph6(cycle_graph(14))])
+    assert run(["solve", "--k", "2", "--input", src, "--budget-nodes", "10"]) == 2
+    assert "10 nodes" in capsys.readouterr().err
+    assert run(["solve", "--k", "2", "--input", src]) == 0
+    assert capsys.readouterr().out.split("\t")[3] == "8"
 
 
 def test_solve_rejects_bad_k(tmp_path):
@@ -100,6 +110,31 @@ def test_ng_reports_are_worker_independent(tmp_path):
     assert run(["ng", "--enumerate", "4", "--out", str(one)]) == 0
     assert run(["ng", "--enumerate", "4", "--workers", "2", "--out", str(two)]) == 0
     assert one.read_text(encoding="ascii") == two.read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("known_max", [16, cli.NG_KNOWN_MAX])
+def test_ng_seeded_chunks_keep_reports_worker_independent(tmp_path, monkeypatch, known_max):
+    # 147 tasks of 7 graphs: complements land in other tasks and reach them
+    # as seeds, and with 16 known values the parent's map evicts constantly
+    monkeypatch.setattr(cli, "NG_CHUNK", 7)
+    monkeypatch.setattr(cli, "NG_KNOWN_MAX", known_max)
+    expected = "".join(ng_record(g).to_line() + "\n" for g in enumerate_labeled_graphs(5))
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}.tsv"
+        assert run(["ng", "--enumerate", "5", "--workers", str(workers), "--out", str(out)]) == 0
+        text = out.read_text(encoding="ascii")
+        assert text.startswith(expected) and text.count("\n") == 1025, workers
+
+
+@pytest.mark.parametrize("chunk", [7, cli.NG_CHUNK])
+def test_ng_inline_path_solves_each_labeled_graph_once(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "NG_CHUNK", chunk)
+    calls = []
+    solve = nordhaus.gamma_bnb
+    monkeypatch.setattr(nordhaus, "gamma_bnb", lambda g, k: calls.append(g) or solve(g, k))
+    assert run(["ng", "--enumerate", "5", "--out", str(tmp_path / "r.tsv")]) == 0
+    assert len(calls) == 1024
+    assert len({g.adj for g in calls}) == 1024
 
 
 def test_ng_min_n_skips_small_graphs(tmp_path, capsys):

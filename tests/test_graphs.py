@@ -225,6 +225,21 @@ def test_single_component_for_connected_graph():
     assert components(Graph.empty(0)).sizes() == ()
 
 
+def test_components_equal_induced_parts_on_all_small_graphs():
+    # a connected graph is returned as its own part; the decomposition must
+    # equal the induced subgraphs of the vertex classes, in smallest-vertex order
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            classes = []
+            for v in range(n):
+                touching = [c for c in classes if any(g.has_edge(u, v) for u in c)]
+                merged = {v}.union(*touching)
+                classes = [c for c in classes if c not in touching] + [merged]
+            masks = sorted((sum(1 << v for v in c) for c in classes), key=lambda m: m & -m)
+            expected = tuple(induced_subgraph(g, m) for m in masks)
+            assert components(g).parts == expected, encode_graph6(g)
+
+
 def test_is_connected_basics():
     assert is_connected(Graph.empty(0))
     assert is_connected(Graph.empty(1))

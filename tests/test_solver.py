@@ -206,6 +206,19 @@ def test_bnb_bounds_cycles_by_forced_nonzero_vertices(n):
     assert res.nodes_explored <= 1_000
 
 
+def test_bnb_node_budget_refuses_and_default_solves():
+    g = cycle_graph(14)
+    with pytest.raises(BudgetExceededError, match="10 nodes"):
+        gamma_bnb(g, 2, SolverBudget(max_nodes=10))
+    res = gamma_bnb(g, 2)
+    assert res.value == 8 and validate(g, res.witness) == []
+    # the components of one graph share the budget
+    pair = disjoint_union(g, g)
+    assert gamma_bnb(pair, 2, SolverBudget(max_nodes=res.nodes_explored * 2)).value == 16
+    with pytest.raises(BudgetExceededError, match=f"{res.nodes_explored} nodes"):
+        gamma_bnb(pair, 2, SolverBudget(max_nodes=res.nodes_explored))
+
+
 def test_bnb_matches_ilp_beyond_brute_reach():
     pytest.importorskip("scipy")
     rng = random.Random(31)
