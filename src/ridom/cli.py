@@ -267,9 +267,9 @@ def _cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _ng_chunk(graphs: Sequence[Graph], seeds: GammaCache) -> list[NGRecord]:
+def _ng_chunk(graphs: Sequence[Graph], seeds: GammaCache, budget: SolverBudget) -> list[NGRecord]:
     """One task: the records of ``graphs``, starting from the known ``seeds``."""
-    return [ng_record(g, seeds) for g in graphs]
+    return [ng_record(g, seeds, budget) for g in graphs]
 
 
 class _InlinePool:
@@ -311,7 +311,7 @@ def _ng_stream(
             yield from oldest()
         keys = [cache_keys(g) for g in batch]
         seeds = {key: known[key] for pair in keys for key in pair if key in known}
-        pending.append((pool.submit(_ng_chunk, batch, seeds), keys))
+        pending.append((pool.submit(_ng_chunk, batch, seeds, cfg.budget), keys))
     while pending:
         yield from oldest()
 

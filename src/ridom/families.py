@@ -40,6 +40,11 @@ class FamilyTag:
 _NO_FAMILY = FamilyTag(Family.NONE)
 
 
+def is_five_cycle(g: Graph) -> bool:
+    """Structural 5-cycle test: 5 vertices, 2-regular (hence one cycle)."""
+    return g.n == 5 and all(d == 2 for d in g.degrees())
+
+
 def classify_connected(g: Graph) -> FamilyTag:
     """Decide family membership of a connected graph on >= 3 vertices.
 
@@ -74,7 +79,7 @@ def classify_connected(g: Graph) -> FamilyTag:
             big, small = sorted(internal, key=lambda v: (-deg[v], v))
             return FamilyTag(Family.DOUBLE_STAR_31, (big, small))
 
-    if n == 5 and all(d == 2 for d in deg):
+    if is_five_cycle(g):
         return FamilyTag(Family.C5)
 
     return _NO_FAMILY

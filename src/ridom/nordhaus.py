@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .families import is_five_cycle
 from .graphs import (
     CANONICAL_MAX_VERTICES,
     Graph,
@@ -23,9 +24,8 @@ from .graphs import (
     complement,
     complement_rows,
     encode_graph6,
-    is_connected,
 )
-from .solver import gamma_bnb
+from .solver import SolverBudget, gamma_bnb
 
 STATUS_BELOW_RANGE = "below_range"
 STATUS_IN_RANGE = "in_range"
@@ -57,11 +57,6 @@ class NGRecord:
         )
 
 
-def is_five_cycle(g: Graph) -> bool:
-    """Structural 5-cycle test: connected, 5 vertices, 2-regular."""
-    return g.n == 5 and all(d == 2 for d in g.degrees()) and is_connected(g)
-
-
 def _status(n: int, c5: bool, total: int) -> str:
     if c5:
         return STATUS_EXCEPTIONAL_C5 if total == n + 3 else STATUS_VIOLATION
@@ -89,21 +84,23 @@ def cache_keys(g: Graph) -> tuple[GammaKey, GammaKey]:
     return (g.n, g.adj), (g.n, complement_rows(g))
 
 
-def ng_record(g: Graph, cache: Optional[GammaCache] = None) -> NGRecord:
+def ng_record(
+    g: Graph, cache: Optional[GammaCache] = None, budget: Optional[SolverBudget] = None
+) -> NGRecord:
     """Exact sum record for one graph, with its bound classification.
 
     ``cache`` maps the keys of :func:`cache_keys` to known values and gains
     the values solved here; the complement is built only when its value is
-    not in it.
+    not in it.  Both solves run under ``budget`` (default: ``DEFAULT_BUDGET``).
     """
     cache = {} if cache is None else cache
     key, ckey = cache_keys(g)
     gamma = cache.get(key)
     if gamma is None:
-        gamma = cache[key] = gamma_bnb(g, 2).value
+        gamma = cache[key] = gamma_bnb(g, 2, budget).value
     gamma_comp = cache.get(ckey)
     if gamma_comp is None:
-        gamma_comp = cache[ckey] = gamma_bnb(complement(g), 2).value
+        gamma_comp = cache[ckey] = gamma_bnb(complement(g), 2, budget).value
     total = gamma + gamma_comp
     return NGRecord(
         graph6=encode_graph6(g),

@@ -311,6 +311,13 @@ def _bnb_component(
     - on weight: a vertex of degree < k can never be 0, so the nonzero count
       plus the number of such vertices still unassigned bounds every
       completion from below;
+    - on demand: ``demand`` counts the colors still missing at vertices not
+      labeled nonzero (n·k at the root, 0 at a feasible leaf).  A vertex w
+      turning nonzero removes at most deg(w) + k of it, its own missing
+      colors plus one per neighbor newly seeing its color, so at least
+      ``need[demand]`` more vertices become nonzero, where ``need`` sums the
+      largest deg + k values until they reach the demand.  The weight
+      bound adds the larger of this and the forced count;
     - on color symmetry: a vertex takes 0, a color already used, or the next
       unused color ``max_used + 1``, so each relabeling of the color classes
       is searched once.  The lex-min optimum survives, because it uses its
@@ -324,6 +331,15 @@ def _bnb_component(
     limit = max_nodes - spent
     nbrs = [tuple(bits(row)) for row in adj]
     nodes = 0
+    # need[d]: fewest vertices whose deg + k values sum to at least d
+    gains = sorted((row.bit_count() + k for row in adj), reverse=True)
+    need = [0] * (n * k + 1)
+    taken = supply = 0
+    for d in range(1, n * k + 1):
+        while supply < d:
+            supply += gains[taken]
+            taken += 1
+        need[d] = taken
 
     def search(order: Sequence[int], cap: int, stop_at_cap: bool) -> tuple[int, Optional[list[int]]]:
         nonlocal nodes
@@ -335,18 +351,22 @@ def _bnb_component(
         best_labels: Optional[list[int]] = None
         nonzero = 0
         max_used = 0
+        demand = n * k
         # forced_after[pos]: vertices of degree < k among order[pos:]
         forced_after = [0] * (n + 1)
         for pos in range(n - 1, -1, -1):
             forced_after[pos] = forced_after[pos + 1] + (adj[order[pos]].bit_count() < k)
 
         def place(pos: int) -> bool:
-            nonlocal nodes, best_val, best_labels, nonzero, max_used
+            nonlocal nodes, best_val, best_labels, nonzero, max_used, demand
             if nodes > limit:
                 raise BudgetExceededError(
                     f"branch and bound exceeded the budget of {max_nodes} nodes"
                 )
-            if nonzero + forced_after[pos] >= best_val + (1 if stop_at_cap else 0):
+            forced = forced_after[pos]
+            needed = need[demand]
+            bound = nonzero + (forced if forced > needed else needed)
+            if bound >= best_val + (1 if stop_at_cap else 0):
                 return False
             if pos == n:
                 if stop_at_cap:
@@ -381,11 +401,18 @@ def _bnb_component(
                         masks[color] |= 1 << v
                         nonzero += 1
                         max_used = max(prev_max, color)
+                        # v's own missing colors, plus one per neighbor not
+                        # labeled nonzero that newly sees the color
+                        drop = k - seen[v].bit_count()
                         for u in nbrs[v]:
+                            if not (seen[u] & cbit or label[u]):
+                                drop += 1
                             seen[u] |= cbit
+                        demand -= drop
                     done = place(pos + 1)
                     max_used = prev_max
                     if color:
+                        demand += drop
                         masks[color] &= ~(1 << v)
                         nonzero -= 1
                         # clear the color bit, then restore it for neighbors

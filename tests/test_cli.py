@@ -131,7 +131,7 @@ def test_ng_inline_path_solves_each_labeled_graph_once(tmp_path, monkeypatch, ch
     monkeypatch.setattr(cli, "NG_CHUNK", chunk)
     calls = []
     solve = nordhaus.gamma_bnb
-    monkeypatch.setattr(nordhaus, "gamma_bnb", lambda g, k: calls.append(g) or solve(g, k))
+    monkeypatch.setattr(nordhaus, "gamma_bnb", lambda g, *rest: calls.append(g) or solve(g, *rest))
     assert run(["ng", "--enumerate", "5", "--out", str(tmp_path / "r.tsv")]) == 0
     assert len(calls) == 1024
     assert len({g.adj for g in calls}) == 1024
@@ -165,6 +165,14 @@ def test_ng_budget_refusal(tmp_path):
     src = write_lines(tmp_path / "in.g6", ["Bw"])
     assert run(["ng", "--input", src, "--oracle-check", "1",
                 "--budget-labelings", "1"]) == 2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_ng_node_budget_refuses(capsys, workers):
+    args = ["ng", "--enumerate", "4", "--workers", workers]
+    assert run(args + ["--budget-nodes", "1"]) == 2
+    assert "budget of 1 nodes" in capsys.readouterr().err
+    assert run(args) == 0
 
 
 # ---------------------------------------------------------------------------

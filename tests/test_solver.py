@@ -206,6 +206,20 @@ def test_bnb_bounds_cycles_by_forced_nonzero_vertices(n):
     assert res.nodes_explored <= 1_000
 
 
+def test_bnb_counting_bound_prunes_cycles_at_k2():
+    # at k=2 nothing is forced nonzero; the demand bound (each new nonzero
+    # vertex covers at most deg + k missing colors) cuts C30 from 393,214
+    # nodes to a few hundred
+    for n, value, witness in [(25, 14, "0 1 0 2 " * 5 + "0 1 2 1 2"),
+                              (30, 16, "0 1 0 2 " * 7 + "1 2")]:
+        g = cycle_graph(n)
+        res = gamma_bnb(g, 2)
+        assert res.value == value
+        assert res.witness.to_text() == witness
+        assert validate(g, res.witness) == []
+        assert res.nodes_explored <= 2_000
+
+
 def test_bnb_node_budget_refuses_and_default_solves():
     g = cycle_graph(14)
     with pytest.raises(BudgetExceededError, match="10 nodes"):
@@ -230,6 +244,12 @@ def test_bnb_matches_ilp_beyond_brute_reach():
         res = gamma_bnb(g, k)
         assert res.value == ilp_gamma_rik(g, k), encode_graph6(g)
         assert validate(g, res.witness) == [], encode_graph6(g)
+    # cycles at k=2 are where the demand bound prunes hardest
+    for n in (25, 30):
+        g = cycle_graph(n)
+        res = gamma_bnb(g, 2)
+        assert res.value == ilp_gamma_rik(g, 2), n
+        assert validate(g, res.witness) == [], n
 
 
 def test_one_color_value_is_independent_domination():
