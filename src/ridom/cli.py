@@ -32,11 +32,10 @@ from typing import Iterator, Optional, Sequence
 
 from .families import Family, classify_graph, is_trivial_components, predict_gamma_ri2
 from .graphs import (
-    CANONICAL_MAX_VERTICES,
     Graph,
     Graph6ParseError,
     UnsupportedSizeError,
-    canonical_form,
+    canonical_form,  # not called here; perfbench/spans.py traces this name
     encode_graph6,
     enumerate_labeled_graphs,
     looks_like_edge_list,
@@ -48,6 +47,7 @@ from .nordhaus import (
     GammaKey,
     NGRecord,
     cache_keys,
+    extremal_ids,
     ng_record,
     report_from_records,
 )
@@ -339,19 +339,11 @@ def _cmd_ng(cfg: RunConfig) -> int:
         "seed": cfg.seed,
     }
     if cfg.dedup:
-        seen: set[bytes] = set()
-        kept = []
-        for rec in records:
-            if rec.status != "at_upper":
-                continue
-            g = parse_graph6(rec.graph6)
-            if g.n > CANONICAL_MAX_VERTICES:
-                raise InputError(0, f"--dedup needs n <= {CANONICAL_MAX_VERTICES}, got {g.n}")
-            key = canonical_form(g)
-            if key not in seen:
-                seen.add(key)
-                kept.append(rec.graph6)
-        summary["extremal"] = kept
+        try:
+            summary["extremal"] = extremal_ids(records)
+        except UnsupportedSizeError as exc:
+            # the helper's "dedup needs ..." message, under the option's name
+            raise InputError(0, f"--{exc}") from None
     mismatches = 0
     if cfg.oracle_check > 0 and records:
         rng = random.Random(cfg.seed)

@@ -398,20 +398,18 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
 def _twin_classes(g: Graph) -> list[int]:
     # Vertices with identical rows (non-adjacent twins) or identical closed
     # neighborhoods (adjacent twins) are swappable by an automorphism, so the
-    # ordering search only needs one representative per class.
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adj[u] == g.adj[v] or g.adj[u] | 1 << u == g.adj[v] | 1 << v:
-                parent[find(u)] = find(v)
-    return [find(v) for v in range(g.n)]
+    # ordering search only needs one representative per class.  No vertex has
+    # twins of both kinds, and no row equals another vertex's closed row, so
+    # one dict keyed by both finds every class in a single pass.
+    first: dict[int, int] = {}
+    ids = []
+    for v, row in enumerate(g.adj):
+        closed = row | 1 << v
+        cid = first.get(row, first.get(closed, v))
+        first.setdefault(row, cid)
+        first.setdefault(closed, cid)
+        ids.append(cid)
+    return ids
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -420,8 +418,18 @@ def canonical_form(g: Graph) -> bytes:
     The value is the lexicographic minimum, over all vertex orderings, of the
     column-major upper-triangle adjacency bits, packed into bytes behind a
     leading vertex-count byte.  Two graphs compare equal exactly when they are
-    isomorphic.  Exhaustive over orderings (with prefix pruning and twin
-    skipping), hence the hard cap of 8 vertices.
+    isomorphic, and the value is the exact permutation minimum.
+
+    The search places vertices one position at a time and keeps the unplaced
+    ones in an ordered partition: cells of equal column (the bits against
+    the placed vertices), in ascending column order.  Placing ``p`` splits
+    every cell into its non-neighbours and its neighbours of ``p``, so the
+    first cell always holds exactly the candidates of minimal column, the
+    only ones a minimal ordering can place next.  The search tries each of
+    them (one per twin class), drops a branch whose prefix already exceeds
+    the best string found, and closes a partition of single vertices in one
+    step, since the rest of the ordering is then forced.  Worst case
+    exponential, hence the hard cap of 8 vertices.
     """
     if g.n > CANONICAL_MAX_VERTICES:
         raise UnsupportedSizeError(
@@ -434,40 +442,51 @@ def canonical_form(g: Graph) -> bytes:
     total_bits = n * (n - 1) // 2
     class_id = _twin_classes(g)
     best: Optional[int] = None
-    placed: list[int] = []
 
-    def descend(prefix: int, done_bits: int, placed_mask: int) -> None:
+    def descend(prefix: int, depth: int, cells: list[tuple[int, int]]) -> None:
+        # ``cells`` are the (column, vertex mask) pairs of the vertices not
+        # yet placed; ``prefix`` holds the columns of positions 0..depth,
+        # the last one being the first cell's
         nonlocal best
-        depth = len(placed)
-        if depth == n:
-            if best is None or prefix < best:
-                best = prefix
-            return
-        cands = []
-        seen_classes = set()
-        for c in range(n):
-            if placed_mask >> c & 1:
+        depth += 1
+        shift = total_bits - depth * (depth + 1) // 2
+        first = cells[0][1]
+        tried = 0
+        while first:
+            low = first & -first
+            first ^= low
+            p = low.bit_length() - 1
+            cid = 1 << class_id[p]
+            if tried & cid:
                 continue
-            cid = class_id[c]
-            if cid in seen_classes:
+            tried |= cid
+            row = adj[p]
+            split = []
+            for col, mask in cells:
+                mask &= ~low
+                if mask & ~row:
+                    split.append((col << 1, mask & ~row))
+                if mask & row:
+                    split.append((col << 1 | 1, mask & row))
+            child = prefix << depth | split[0][0]
+            if best is not None and child > best >> shift:
                 continue
-            seen_classes.add(cid)
-            col = 0
-            row = adj[c]
-            for p in placed:
-                col = col << 1 | (row >> p & 1)
-            cands.append((col, c))
-        cands.sort()
-        for col, c in cands:
-            new_prefix = prefix << depth | col
-            nb = done_bits + depth
-            if best is not None and new_prefix > best >> (total_bits - nb):
-                break
-            placed.append(c)
-            descend(new_prefix, nb, placed_mask | 1 << c)
-            placed.pop()
+            if len(split) < n - depth:
+                descend(child, depth, split)
+                continue
+            # discrete: each later cell is the sole minimum in its turn, so
+            # the cell order is the rest of the ordering
+            order = [mask.bit_length() - 1 for _, mask in split]
+            for i in range(1, len(order)):
+                col = split[i][0]
+                row = adj[order[i]]
+                for u in order[:i]:
+                    col = col << 1 | (row >> u & 1)
+                child = child << depth + i | col
+            if best is None or child < best:
+                best = child
 
-    descend(0, 0, 0)
+    descend(0, 0, [(0, g.full_mask)])
     assert best is not None
     return bytes([n]) + best.to_bytes((total_bits + 7) // 8, "big")
 

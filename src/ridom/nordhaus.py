@@ -24,6 +24,7 @@ from .graphs import (
     complement,
     complement_rows,
     encode_graph6,
+    parse_graph6,
 )
 from .solver import SolverBudget, gamma_bnb
 
@@ -152,28 +153,32 @@ def verify_stream(graphs: Iterable[Graph], min_n: int = 0) -> NGReport:
     )
 
 
-def collect_extremal(graphs: Iterable[Graph], dedup: bool = True) -> list[str]:
-    """graph6 ids of stream graphs whose sum attains the ``n + 2`` ceiling.
+def extremal_ids(records: Iterable[NGRecord], dedup: bool = True) -> list[str]:
+    """graph6 ids of the records whose sum attains the ``n + 2`` ceiling.
 
     With ``dedup`` (the default) isomorphic repeats collapse onto their first
-    representative via the canonical form, which caps the graphs at 8
-    vertices; pass ``dedup=False`` for larger streams.
+    record via the canonical form, which caps the records at 8 vertices
+    (``UnsupportedSizeError``); pass ``dedup=False`` for larger streams.
     """
-    cache: GammaCache = {}
     out: list[str] = []
     seen: set[bytes] = set()
-    for g in graphs:
-        rec = ng_record(g, cache)
+    for rec in records:
         if rec.status != STATUS_AT_UPPER:
             continue
         if dedup:
-            if g.n > CANONICAL_MAX_VERTICES:
+            if rec.n > CANONICAL_MAX_VERTICES:
                 raise UnsupportedSizeError(
-                    f"extremal dedup needs n <= {CANONICAL_MAX_VERTICES}, got {g.n}"
+                    f"dedup needs n <= {CANONICAL_MAX_VERTICES}, got {rec.n}"
                 )
-            key = canonical_form(g)
+            key = canonical_form(parse_graph6(rec.graph6))
             if key in seen:
                 continue
             seen.add(key)
         out.append(rec.graph6)
     return out
+
+
+def collect_extremal(graphs: Iterable[Graph], dedup: bool = True) -> list[str]:
+    """:func:`extremal_ids` of the records of a graph stream, one shared cache."""
+    cache: GammaCache = {}
+    return extremal_ids((ng_record(g, cache) for g in graphs), dedup)

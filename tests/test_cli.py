@@ -153,6 +153,16 @@ def test_ng_dedup_lists_extremal_up_to_isomorphism(tmp_path, capsys):
     assert summary["extremal_count"] == 3
 
 
+def test_ng_dedup_refuses_graphs_above_the_canonical_cap(tmp_path, capsys):
+    src = write_lines(tmp_path / "in.g6", [encode_graph6(star_graph(8))])
+    assert run(["ng", "--input", src]) == 0
+    assert last_json(capsys.readouterr().out)["extremal_count"] == 1
+    assert run(["ng", "--input", src, "--dedup"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input line 0: --dedup needs n <= 8, got 9\n"
+
+
 def test_ng_oracle_check_agrees(tmp_path, capsys):
     assert run(["ng", "--enumerate", "4", "--oracle-check", "10", "--seed", "7"]) == 0
     summary = last_json(capsys.readouterr().out)

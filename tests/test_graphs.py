@@ -1,11 +1,13 @@
 """Tests for the graph core: codec, transforms, canonical form, enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from gtools import brute_canonical, graphs, permutations_of, ref_encode_graph6
+import ridom.graphs
 from ridom.graphs import (
     Graph,
     Graph6ParseError,
@@ -284,6 +286,36 @@ def test_canonical_agrees_with_permutation_minimum_n5():
         assert canonical_form(g) == brute_canonical(g)
 
 
+def test_canonical_agrees_with_permutation_minimum_n6_classes():
+    rng = random.Random(6)
+    classes = enumerate_nonisomorphic(6)
+    assert len(classes) == 156
+    for g in classes:
+        perm = rng.sample(range(6), 6)
+        assert canonical_form(relabel(g, perm)) == brute_canonical(g), encode_graph6(g)
+
+
+TIE_HEAVY = {
+    "C7": cycle_graph(7),
+    "C8": cycle_graph(8),
+    "cube": prism_product(cycle_graph(4), 2),
+    "K4,4": Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)]),
+    "Wagner": Graph.from_edges(8, [(i, (i + s) % 8) for i in range(8) for s in (1, 4)]),
+    "complement of C8": complement(cycle_graph(8)),
+    "2C4": disjoint_union(cycle_graph(4), cycle_graph(4)),
+}
+
+
+@pytest.mark.parametrize("name", list(TIE_HEAVY))
+def test_canonical_agrees_with_permutation_minimum_on_tie_heavy_graphs(name):
+    # vertex-transitive and twin-rich graphs keep many vertices tied in the
+    # first cell for several levels: the most branching and the most
+    # partitions closed in one step
+    g = TIE_HEAVY[name]
+    perm = random.Random(name).sample(range(g.n), g.n)
+    assert canonical_form(relabel(g, perm)) == brute_canonical(g)
+
+
 @given(graphs(min_n=1, max_n=7).flatmap(
     lambda g: permutations_of(g.n).map(lambda p: (g, p))))
 @settings(max_examples=150)
@@ -314,15 +346,36 @@ def test_labeled_enumeration_counts_and_extremes():
 
 
 def test_nonisomorphic_counts_match_the_literature():
-    assert [len(enumerate_nonisomorphic(n)) for n in range(7)] == [
-        1, 1, 2, 4, 11, 34, 156,
+    assert [len(enumerate_nonisomorphic(n)) for n in range(8)] == [
+        1, 1, 2, 4, 11, 34, 156, 1044,
     ]
 
 
 def test_connected_nonisomorphic_counts():
-    assert [len(enumerate_nonisomorphic(n, connected=True)) for n in range(1, 7)] == [
-        1, 1, 2, 6, 21, 112,
+    assert [len(enumerate_nonisomorphic(n, connected=True)) for n in range(1, 8)] == [
+        1, 1, 2, 6, 21, 112, 853,
     ]
+
+
+def test_nonisomorphic_7_makes_11291_canonical_form_calls(monkeypatch):
+    # perfbench/workloads.py checks this total on a traced noniso-7 run: the
+    # sum over m < 7 of (classes on m vertices) * 2^m.  A change of the
+    # generation scheme (orderly generation, canonical augmentation) changes
+    # it and must update this test together with the benchmark.
+    calls = 0
+    original = ridom.graphs.canonical_form
+
+    def counting(g: Graph) -> bytes:
+        nonlocal calls
+        calls += 1
+        return original(g)
+
+    monkeypatch.setattr(ridom.graphs, "canonical_form", counting)
+    enumerate_nonisomorphic.cache_clear()
+    # the run memoises every class list up to n=7 again, so later tests
+    # still find them cached
+    assert len(enumerate_nonisomorphic(7)) == 1044
+    assert calls == 11291
 
 
 def test_nonisomorphic_stream_has_distinct_canonical_forms():
