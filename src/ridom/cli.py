@@ -5,7 +5,10 @@ single edge-list file (``n m`` header then ``u v`` lines), or from the
 built-in labeled enumerator.  Every subcommand writes one record line per
 graph followed by a JSON summary line, and identical inputs produce
 byte-identical reports regardless of worker count.  Exit codes: 0 success,
-1 bound violation or oracle mismatch, 2 usage or input error.
+1 bound violation or oracle mismatch, 2 usage or input error, 130 when
+interrupted (the message ``interrupted`` on stderr, no traceback) and 141
+when the reader of stdout has gone away (nothing more is written; 141 is
+what a shell reports for a process that SIGPIPE ends).
 
 ``ng --workers N`` streams the input graphs through a process pool in tasks
 of ``NG_CHUNK`` graphs, with at most ``2 * N`` tasks in flight
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from collections import OrderedDict, deque
@@ -63,6 +67,8 @@ from .solver import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 
 # ``ng`` hands the pool this many graphs per task, and the parent keeps at
 # most this many known values to seed later tasks with
@@ -213,7 +219,10 @@ class _Report:
         body = "".join(line + "\n" for line in self.lines)
         body += json.dumps(summary, sort_keys=True) + "\n"
         if self.cfg.out_path is None:
+            # flushed here, so a vanished reader surfaces as an exit code
+            # rather than as an error at interpreter shutdown
             sys.stdout.write(body)
+            sys.stdout.flush()
         else:
             with open(self.cfg.out_path, "w", encoding="ascii") as fh:
                 fh.write(body)
@@ -456,13 +465,24 @@ def run(argv: Sequence[str]) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # send the unflushed rest to devnull so shutdown does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (Graph6ParseError, UnsupportedSizeError, BudgetExceededError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = EXIT_INTERRUPTED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

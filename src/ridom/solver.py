@@ -8,8 +8,13 @@ independent domination number of the graph; at ``k = 1`` this is the ordinary
 independent domination number.
 
 Two independent routes compute it: ``gamma_brute`` enumerates labelings from
-the definition, ``gamma_bnb`` is a per-component branch and bound.  They must
-always agree; the test suite enforces this exhaustively on small graphs.  All
+the definition, and ``gamma_bnb`` searches, per component, for a minimum
+independent dominating set of the prism G □ K_k, whose size is the same
+number (Kraner Šumenjak, Rall and Tepeh 2018), branching on dominators in
+the manner of Gaspers and Liedloff's minimum independent dominating set
+algorithm (DMTCS 2012).  They must always agree; the test suite enforces
+this exhaustively on small graphs, and beyond brute force's reach checks
+``gamma_bnb`` against an ILP and the earlier vertex-order search.  All
 solvers are pure and deterministic, returning the lexicographically smallest
 optimal labeling (vertex index order, label order 0 < 1 < ... < k).
 """
@@ -283,161 +288,188 @@ def solve_constrained(
 # branch and bound
 
 
-def _greedy_weight(adj: Sequence[int], n: int, k: int) -> int:
-    masks = [0] * (k + 1)
-    w = 0
-    for v in range(n):
-        for color in range(1, k + 1):
-            if not adj[v] & masks[color]:
-                masks[color] |= 1 << v
-                w += 1
-                break
-    return w
-
-
 def _bnb_component(
     adj: Sequence[int], n: int, k: int, max_nodes: int, spent: int
 ) -> tuple[int, list[int], int]:
     """Exact optimum on one connected component, plus its lex-min witness.
 
-    Phase 1 finds the optimal value branching on vertices by descending
-    degree with label 0 tried first.  Phase 2 re-runs the search in vertex
-    index order against the now-known optimum and returns the first
-    completion, which is the lexicographically smallest optimal labeling.
-    Both phases prune:
+    The search runs on the prism G □ K_k without building it, through
+    γ_rik(G) = i(G □ K_k): pair ``(v, c)``, vertex v carrying color c + 1,
+    is bit ``v*k + c`` of an int, and a labeling of weight w is an
+    independent dominating set of w pairs.  A node holds the chosen pairs,
+    the pairs they dominate and the free pairs, those neither dominated nor
+    excluded.  It takes the undominated pair with the fewest branches (see
+    the symmetry rule) and branches on which of its free dominators joins
+    the set, the one dominating most undominated pairs first; each later
+    branch excludes the earlier choices.
 
-    - on zero vertices whose unassigned neighbors can no longer supply all
-      missing colors;
-    - on weight: a vertex of degree < k can never be 0, so the nonzero count
-      plus the number of such vertices still unassigned bounds every
-      completion from below;
-    - on demand: ``demand`` counts the colors still missing at vertices not
-      labeled nonzero (n·k at the root, 0 at a feasible leaf).  A vertex w
-      turning nonzero removes at most deg(w) + k of it, its own missing
-      colors plus one per neighbor newly seeing its color, so at least
-      ``need[demand]`` more vertices become nonzero, where ``need`` sums the
-      largest deg + k values until they reach the demand.  The weight
-      bound adds the larger of this and the forced count;
-    - on color symmetry: a vertex takes 0, a color already used, or the next
-      unused color ``max_used + 1``, so each relabeling of the color classes
-      is searched once.  The lex-min optimum survives, because it uses its
-      colors in first-use order: swapping c and c + 1 in a labeling where
-      c + 1 appears first gives a lex-smaller optimum.
+    - Bound.  Each undominated pair needs one of its free dominators, and a
+      vertex of degree < k can never be 0, so its layer ``{(v, c)}`` needs
+      a pair of its own while v is not in the set.  Those layers, then the
+      dominator sets smallest first, are packed greedily into a pairwise
+      disjoint family; a node is pruned when its size plus the packing
+      reaches the best weight known, at first the greedy first-fit weight.
+    - Color symmetry.  With colors ``0..m-1`` in use, permuting the unused
+      colors maps the node to itself as long as every exclusion is a union
+      of orbits: single pairs of used colors, and per vertex v the set
+      ``{(v, c) : c >= m}``.  An undominated ``(v, c)`` with c > m has the
+      same dominators, up to that permutation, as ``(v, m)``, so only pairs
+      of color <= m are picked and branched on, ``(v, m)`` standing for its
+      orbit; the later branches then exclude the whole orbit.  Any solution
+      in such a later branch holding ``(v, c)``, c >= m, turns by swapping
+      colors c and m into one of equal weight holding ``(v, m)`` and
+      avoiding the same exclusions, which the ``(v, m)`` branch covered.
+      Choosing ``(v, m)`` only splits orbits, so exclusions stay unions of
+      orbits below it.
+    - Witness.  The lex-min optimum uses its colors in first-use order
+      (swapping c and c + 1 where c + 1 comes first gives a lex-smaller
+      optimum), so the best solution found is kept relabeled that way.
+      Vertices are then fixed in index order.  At v, each label below the
+      kept solution's, which is at most ``m + 1``, gets a decision search
+      for weight <= value from the fixed prefix, and the first that succeeds
+      replaces the kept solution; if none does, v keeps its label without a
+      search.  Labels that cannot work are skipped unsearched: 0 at a vertex
+      of degree < k, and a color that a neighbor in the prefix carries.  A
+      label below ``m + 1`` opens no new color, so the prefix stays in
+      first-use order.
 
     Raises :class:`BudgetExceededError` once this search's nodes plus the
     ``spent`` ones (on the graph's earlier components) exceed ``max_nodes``.
     """
-    all_colors = ((1 << k) - 1) << 1
     limit = max_nodes - spent
-    nbrs = [tuple(bits(row)) for row in adj]
+    full = (1 << n * k) - 1
+    layer = (1 << k) - 1
+    # beyond[m]: the pairs of color >= m; upto[m]: those of color <= m
+    beyond = [0] * (k + 2)
+    for c in range(k - 1, -1, -1):
+        beyond[c] = beyond[c + 1] | full // layer << c
+    upto = [full & ~beyond[m + 1] for m in range(k + 1)]
+    # closed[v*k + c]: the pairs that (v, c) dominates, itself included
+    closed = []
+    for v in range(n):
+        nbrs = 0
+        row = adj[v]
+        while row:
+            low = row & -row
+            nbrs |= 1 << (low.bit_length() - 1) * k
+            row ^= low
+        closed += [layer << v * k | nbrs << c for c in range(k)]
+    forced = [layer << v * k for v in range(n) if adj[v].bit_count() < k]
     nodes = 0
-    # need[d]: fewest vertices whose deg + k values sum to at least d
-    gains = sorted((row.bit_count() + k for row in adj), reverse=True)
-    need = [0] * (n * k + 1)
-    taken = supply = 0
-    for d in range(1, n * k + 1):
-        while supply < d:
-            supply += gains[taken]
-            taken += 1
-        need[d] = taken
+    # the search prunes at weight ``best`` and records each set it completes;
+    # ``first`` makes it stop at the first one (the decision searches)
+    best = 0
+    best_set = 0
+    first = False
 
-    def search(order: Sequence[int], cap: int, stop_at_cap: bool) -> tuple[int, Optional[list[int]]]:
-        nonlocal nodes
-        label: list[Optional[int]] = [None] * n
-        masks = [0] * (k + 1)
-        seen = [0] * n          # colors present among assigned neighbors
-        free_nbrs = [row.bit_count() for row in adj]
-        best_val = cap
-        best_labels: Optional[list[int]] = None
-        nonzero = 0
-        max_used = 0
-        demand = n * k
-        # forced_after[pos]: vertices of degree < k among order[pos:]
-        forced_after = [0] * (n + 1)
-        for pos in range(n - 1, -1, -1):
-            forced_after[pos] = forced_after[pos + 1] + (adj[order[pos]].bit_count() < k)
-
-        def place(pos: int) -> bool:
-            nonlocal nodes, best_val, best_labels, nonzero, max_used, demand
-            if nodes > limit:
-                raise BudgetExceededError(
-                    f"branch and bound exceeded the budget of {max_nodes} nodes"
-                )
-            forced = forced_after[pos]
-            needed = need[demand]
-            bound = nonzero + (forced if forced > needed else needed)
-            if bound >= best_val + (1 if stop_at_cap else 0):
-                return False
-            if pos == n:
-                if stop_at_cap:
-                    best_labels = [lab for lab in label]  # type: ignore[misc]
-                    return True
-                best_val = nonzero
-                return False
-            v = order[pos]
-            row = adj[v]
-            prev_max = max_used
-            for color in range(min(prev_max + 1, k) + 1):
-                nodes += 1
-                if color == 0:
-                    missing = all_colors & ~seen[v]
-                    if missing.bit_count() > free_nbrs[v]:
-                        continue
-                else:
-                    if row & masks[color]:
-                        continue
-                # zero neighbors must still be able to collect their colors
-                ok = True
-                cbit = 1 << color if color else 0
-                for u in nbrs[v]:
-                    free_nbrs[u] -= 1
-                    if label[u] == 0:
-                        miss = all_colors & ~(seen[u] | cbit)
-                        if miss.bit_count() > free_nbrs[u]:
-                            ok = False
-                if ok:
-                    label[v] = color
-                    if color:
-                        masks[color] |= 1 << v
-                        nonzero += 1
-                        max_used = max(prev_max, color)
-                        # v's own missing colors, plus one per neighbor not
-                        # labeled nonzero that newly sees the color
-                        drop = k - seen[v].bit_count()
-                        for u in nbrs[v]:
-                            if not (seen[u] & cbit or label[u]):
-                                drop += 1
-                            seen[u] |= cbit
-                        demand -= drop
-                    done = place(pos + 1)
-                    max_used = prev_max
-                    if color:
-                        demand += drop
-                        masks[color] &= ~(1 << v)
-                        nonzero -= 1
-                        # clear the color bit, then restore it for neighbors
-                        # that still meet the class through another vertex
-                        for u in nbrs[v]:
-                            seen[u] &= ~cbit
-                            if adj[u] & masks[color]:
-                                seen[u] |= cbit
-                    label[v] = None
-                    if done:
-                        for u in nbrs[v]:
-                            free_nbrs[u] += 1
-                        return True
-                for u in nbrs[v]:
-                    free_nbrs[u] += 1
+    def search(chosen: int, dom: int, free: int, size: int, m: int) -> bool:
+        nonlocal nodes, best, best_set
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceededError(
+                f"branch and bound exceeded the budget of {max_nodes} nodes"
+            )
+        undom = full & ~dom
+        if not undom:
+            best, best_set = size, chosen
+            return first
+        if size + 1 >= best:  # one more pair at least: the cheapest bound
             return False
+        bound = size
+        packed = 0
+        for own in forced:
+            if own & undom:
+                s = own & free
+                if not s:
+                    return False
+                if not s & packed:
+                    packed |= s
+                    bound += 1
+        low = upto[m]
+        pick = 0
+        fewest = n * k + 1
+        sets = []
+        rest = undom
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            s = closed[bit.bit_length() - 1] & free
+            if not s:
+                return False
+            sets.append(s)
+            if bit & low:
+                count = (s & low).bit_count()
+                if count < fewest:
+                    fewest, pick = count, s & low
+        sets.sort(key=int.bit_count)
+        for s in sets:
+            if not s & packed:
+                packed |= s
+                bound += 1
+        if bound >= best:
+            return False
+        branches = []
+        while pick:
+            bit = pick & -pick
+            pick ^= bit
+            p = bit.bit_length() - 1
+            branches.append((-(closed[p] & undom).bit_count(), p))
+        branches.sort()
+        for _, p in branches:
+            c = p % k
+            if search(chosen | 1 << p, dom | closed[p], free & ~closed[p], size + 1, m + (c == m)):
+                return True
+            free &= ~(beyond[m] & layer << p - c if c == m else 1 << p)
+        return False
 
-        place(0)
-        return best_val, best_labels
+    def labels_of(chosen: int) -> list[int]:
+        # colors renamed 1, 2, ... in order of first use along the vertices
+        out = []
+        rename: dict[int, int] = {}
+        for v in range(n):
+            own = chosen >> v * k & layer
+            out.append(rename.setdefault(own.bit_length(), len(rename) + 1) if own else 0)
+        return out
 
-    order1 = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    incumbent = _greedy_weight(adj, n, k)
-    value, _ = search(order1, incumbent, stop_at_cap=False)
-    _, witness = search(range(n), value, stop_at_cap=True)
-    assert witness is not None
+    # the incumbent: first-fit colors in index order, already in first-use order
+    classes = [0] * k
+    for v in range(n):
+        for c in range(k):
+            if not adj[v] & classes[c]:
+                classes[c] |= 1 << v
+                best += 1
+                best_set |= 1 << v * k + c
+                break
+    search(0, 0, full, 0, 0)
+    value = best
+    witness = labels_of(best_set)
+    first = True
+    chosen = dom = size = m = 0
+    free = full
+    for v in range(n):
+        # a vertex of degree < k is never 0
+        for lab in range(adj[v].bit_count() < k, witness[v]):
+            if lab:
+                p = v * k + lab - 1
+                if not free >> p & 1:
+                    continue  # a neighbor in the prefix has this color
+                trial = (chosen | 1 << p, dom | closed[p], free & ~closed[p], size + 1, m)
+            else:
+                trial = (chosen, dom, free & ~(layer << v * k), size, m)
+            best = value + 1
+            if search(*trial):
+                witness = labels_of(best_set)
+                break
+        lab = witness[v]
+        if lab:
+            p = v * k + lab - 1
+            chosen |= 1 << p
+            dom |= closed[p]
+            free &= ~closed[p]
+            size += 1
+            m = max(m, lab)
+        else:
+            free &= ~(layer << v * k)
     return value, witness, nodes
 
 

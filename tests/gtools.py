@@ -2,17 +2,23 @@
 
 Everything here is written independently of the package internals (plain
 itertools over vertex sets, no bitmask tricks) so that agreement between
-the two is meaningful evidence rather than a tautology.
+the two is meaningful evidence rather than a tautology.  The one exception
+is ``bnb_vertex_order``, the package's earlier branch and bound, which
+shares no code with the search that replaced it and reaches the orders
+(n = 13-28) where enumeration cannot check witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
 from ridom.graphs import (
     Graph,
+    bits,
+    components,
     cycle_graph,
     double_star,
     induced_subgraph,
@@ -170,6 +176,177 @@ def ilp_gamma_rik(g: Graph, k: int) -> int:
                integrality=np.ones(len(var)), bounds=(0, 1))
     assert res.status == 0, res.message
     return int(round(res.fun))
+
+
+# ---------------------------------------------------------------------------
+# the vertex-order branch and bound
+# ---------------------------------------------------------------------------
+
+def _greedy_weight(adj: Sequence[int], n: int, k: int) -> int:
+    masks = [0] * (k + 1)
+    w = 0
+    for v in range(n):
+        for color in range(1, k + 1):
+            if not adj[v] & masks[color]:
+                masks[color] |= 1 << v
+                w += 1
+                break
+    return w
+
+
+def _vertex_order_component(adj: Sequence[int], n: int, k: int) -> tuple[int, list[int], int]:
+    """Exact optimum on one connected component, plus its lex-min witness.
+
+    Phase 1 finds the optimal value branching on vertices by descending
+    degree with label 0 tried first.  Phase 2 re-runs the search in vertex
+    index order against the now-known optimum and returns the first
+    completion, which is the lexicographically smallest optimal labeling.
+    Both phases prune:
+
+    - on zero vertices whose unassigned neighbors can no longer supply all
+      missing colors;
+    - on weight: a vertex of degree < k can never be 0, so the nonzero count
+      plus the number of such vertices still unassigned bounds every
+      completion from below;
+    - on demand: ``demand`` counts the colors still missing at vertices not
+      labeled nonzero (n·k at the root, 0 at a feasible leaf).  A vertex w
+      turning nonzero removes at most deg(w) + k of it, its own missing
+      colors plus one per neighbor newly seeing its color, so at least
+      ``need[demand]`` more vertices become nonzero, where ``need`` sums the
+      largest deg + k values until they reach the demand.  The weight
+      bound adds the larger of this and the forced count;
+    - on color symmetry: a vertex takes 0, a color already used, or the next
+      unused color ``max_used + 1``, so each relabeling of the color classes
+      is searched once.  The lex-min optimum survives, because it uses its
+      colors in first-use order: swapping c and c + 1 in a labeling where
+      c + 1 appears first gives a lex-smaller optimum.
+    """
+    all_colors = ((1 << k) - 1) << 1
+    nbrs = [tuple(bits(row)) for row in adj]
+    nodes = 0
+    # need[d]: fewest vertices whose deg + k values sum to at least d
+    gains = sorted((row.bit_count() + k for row in adj), reverse=True)
+    need = [0] * (n * k + 1)
+    taken = supply = 0
+    for d in range(1, n * k + 1):
+        while supply < d:
+            supply += gains[taken]
+            taken += 1
+        need[d] = taken
+
+    def search(order: Sequence[int], cap: int, stop_at_cap: bool) -> tuple[int, Optional[list[int]]]:
+        nonlocal nodes
+        label: list[Optional[int]] = [None] * n
+        masks = [0] * (k + 1)
+        seen = [0] * n          # colors present among assigned neighbors
+        free_nbrs = [row.bit_count() for row in adj]
+        best_val = cap
+        best_labels: Optional[list[int]] = None
+        nonzero = 0
+        max_used = 0
+        demand = n * k
+        # forced_after[pos]: vertices of degree < k among order[pos:]
+        forced_after = [0] * (n + 1)
+        for pos in range(n - 1, -1, -1):
+            forced_after[pos] = forced_after[pos + 1] + (adj[order[pos]].bit_count() < k)
+
+        def place(pos: int) -> bool:
+            nonlocal nodes, best_val, best_labels, nonzero, max_used, demand
+            forced = forced_after[pos]
+            needed = need[demand]
+            bound = nonzero + (forced if forced > needed else needed)
+            if bound >= best_val + (1 if stop_at_cap else 0):
+                return False
+            if pos == n:
+                if stop_at_cap:
+                    best_labels = [lab for lab in label]  # type: ignore[misc]
+                    return True
+                best_val = nonzero
+                return False
+            v = order[pos]
+            row = adj[v]
+            prev_max = max_used
+            for color in range(min(prev_max + 1, k) + 1):
+                nodes += 1
+                if color == 0:
+                    missing = all_colors & ~seen[v]
+                    if missing.bit_count() > free_nbrs[v]:
+                        continue
+                else:
+                    if row & masks[color]:
+                        continue
+                # zero neighbors must still be able to collect their colors
+                ok = True
+                cbit = 1 << color if color else 0
+                for u in nbrs[v]:
+                    free_nbrs[u] -= 1
+                    if label[u] == 0:
+                        miss = all_colors & ~(seen[u] | cbit)
+                        if miss.bit_count() > free_nbrs[u]:
+                            ok = False
+                if ok:
+                    label[v] = color
+                    if color:
+                        masks[color] |= 1 << v
+                        nonzero += 1
+                        max_used = max(prev_max, color)
+                        # v's own missing colors, plus one per neighbor not
+                        # labeled nonzero that newly sees the color
+                        drop = k - seen[v].bit_count()
+                        for u in nbrs[v]:
+                            if not (seen[u] & cbit or label[u]):
+                                drop += 1
+                            seen[u] |= cbit
+                        demand -= drop
+                    done = place(pos + 1)
+                    max_used = prev_max
+                    if color:
+                        demand += drop
+                        masks[color] &= ~(1 << v)
+                        nonzero -= 1
+                        # clear the color bit, then restore it for neighbors
+                        # that still meet the class through another vertex
+                        for u in nbrs[v]:
+                            seen[u] &= ~cbit
+                            if adj[u] & masks[color]:
+                                seen[u] |= cbit
+                    label[v] = None
+                    if done:
+                        for u in nbrs[v]:
+                            free_nbrs[u] += 1
+                        return True
+                for u in nbrs[v]:
+                    free_nbrs[u] += 1
+            return False
+
+        place(0)
+        return best_val, best_labels
+
+    order1 = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    incumbent = _greedy_weight(adj, n, k)
+    value, _ = search(order1, incumbent, stop_at_cap=False)
+    _, witness = search(range(n), value, stop_at_cap=True)
+    assert witness is not None
+    return value, witness, nodes
+
+
+def bnb_vertex_order(g: Graph, k: int) -> tuple[int, tuple[int, ...], int]:
+    """Value, lex-min optimal labels and search nodes by the vertex-order search.
+
+    This is the package's earlier ``gamma_bnb`` search, kept as an oracle: it
+    branches on the label of one vertex at a time and shares no code with the
+    dominator branching that replaced it.  It solves each component on its
+    own, like ``gamma_bnb``, and has no node budget.
+    """
+    labels = [0] * g.n
+    total = nodes = 0
+    for part, vmap in components(g).parts:
+        value, witness, explored = _vertex_order_component(part.adj, part.n, k)
+        total += value
+        nodes += explored
+        for local, orig in zip(witness, vmap):
+            labels[orig] = local
+    return total, tuple(labels), nodes
 
 
 # ---------------------------------------------------------------------------

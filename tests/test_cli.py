@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -285,3 +286,30 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "report.tsv"
     assert run(["solve", "--input", src, "--out", str(out_path)]) == 0
     assert out_path.read_text(encoding="ascii") == stdout_text
+
+
+def test_vanished_reader_exits_141_and_shutdown_stays_quiet(monkeypatch):
+    # a pipe whose read end is already closed, so the report's write fails
+    # with EPIPE every time, with no race against a reader process
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = os.fdopen(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", out)
+    try:
+        assert run(["codec", "--enumerate", "4"]) == cli.EXIT_BROKEN_PIPE == 141
+    finally:
+        monkeypatch.undo()
+        # the descriptor now points at devnull, so the buffered rest of the
+        # report flushes without a second BrokenPipeError
+        out.close()
+
+
+def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    def interrupted(argv):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run", interrupted)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == cli.EXIT_INTERRUPTED == 130
+    assert capsys.readouterr().err == "interrupted\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from gtools import (
+    bnb_vertex_order,
     graphs,
     ilp_gamma_rik,
     random_graph,
@@ -194,6 +195,26 @@ def test_bnb_matches_brute_on_seeded_random_graphs():
         assert a.witness == b.witness, encode_graph6(g)
 
 
+def test_bnb_matches_vertex_order_search_beyond_brute_reach():
+    # the earlier vertex-order search checks lex-min witnesses at orders
+    # where enumerating labelings cannot; mid-density graphs at k=3 above
+    # n=18 are left out because that search is slow on them
+    rng = random.Random(13)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(13, 22)
+        k = rng.randint(1, 3)
+        p = rng.choice([0.1, 0.3, 0.5, 0.8])
+        if k == 3 and n > 18 and p in (0.3, 0.5):
+            continue
+        g = random_graph(rng, n, p)
+        value, labels, _ = bnb_vertex_order(g, k)
+        res = gamma_bnb(g, k)
+        assert (res.value, res.witness.labels) == (value, labels), (encode_graph6(g), k)
+        checked += 1
+    assert checked >= 50
+
+
 @pytest.mark.parametrize("n", [25, 30])
 def test_bnb_bounds_cycles_by_forced_nonzero_vertices(n):
     # at k=3 every vertex of C_n has degree 2 < k, so none can be 0; the
@@ -207,9 +228,10 @@ def test_bnb_bounds_cycles_by_forced_nonzero_vertices(n):
 
 
 def test_bnb_counting_bound_prunes_cycles_at_k2():
-    # at k=2 nothing is forced nonzero; the demand bound (each new nonzero
-    # vertex covers at most deg + k missing colors) cuts C30 from 393,214
-    # nodes to a few hundred
+    # at k=2 nothing is forced nonzero; the packing bound (disjoint sets of
+    # free dominators each need a pair of their own) keeps C25 and C30 under
+    # a hundred nodes, where the vertex-order search without its demand
+    # bound took 393,214 on C30
     for n, value, witness in [(25, 14, "0 1 0 2 " * 5 + "0 1 2 1 2"),
                               (30, 16, "0 1 0 2 " * 7 + "1 2")]:
         g = cycle_graph(n)
@@ -236,20 +258,34 @@ def test_bnb_node_budget_refuses_and_default_solves():
 def test_bnb_matches_ilp_beyond_brute_reach():
     pytest.importorskip("scipy")
     rng = random.Random(31)
-    # sparse and dense G(n, p) keep bnb fast at these orders; mid-density
-    # graphs at k=3 take it seconds each
     for n, p, k in [(20, 0.3, 2), (22, 0.1, 3), (24, 0.5, 2), (24, 0.1, 3),
                     (26, 0.1, 2), (28, 0.1, 3), (28, 0.5, 2)]:
         g = random_graph(rng, n, p)
         res = gamma_bnb(g, k)
         assert res.value == ilp_gamma_rik(g, k), encode_graph6(g)
         assert validate(g, res.witness) == [], encode_graph6(g)
-    # cycles at k=2 are where the demand bound prunes hardest
+    # mid-density graphs, which took the vertex-order search seconds each
+    for g, k, value in [(random_graph(random.Random(0), 32, 0.3), 2, 9),
+                        (random_graph(random.Random(1), 32, 0.3), 2, 8),
+                        (random_graph(random.Random(2), 32, 0.3), 2, 10),
+                        (random_graph(random.Random(0), 26, 0.2), 3, 15)]:
+        res = gamma_bnb(g, k)
+        assert res.value == ilp_gamma_rik(g, k) == value, encode_graph6(g)
+        assert validate(g, res.witness) == [], encode_graph6(g)
+    # cycles at k=2 have no vertex forced nonzero, so only packing prunes
     for n in (25, 30):
         g = cycle_graph(n)
         res = gamma_bnb(g, 2)
         assert res.value == ilp_gamma_rik(g, 2), n
         assert validate(g, res.witness) == [], n
+
+
+def test_bnb_node_counts_on_mid_density_graphs():
+    # node counts instead of seconds, which vary too much between runs; the
+    # vertex-order search needed 3.2-4.1 million and 2.7 million nodes here
+    for s in range(3):
+        assert gamma_bnb(random_graph(random.Random(s), 32, 0.3), 2).nodes_explored <= 20_000, s
+    assert gamma_bnb(random_graph(random.Random(0), 26, 0.2), 3).nodes_explored <= 50_000
 
 
 def test_one_color_value_is_independent_domination():
