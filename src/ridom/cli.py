@@ -10,15 +10,19 @@ interrupted (the message ``interrupted`` on stderr, no traceback) and 141
 when the reader of stdout has gone away (nothing more is written; 141 is
 what a shell reports for a process that SIGPIPE ends).
 
-``ng --workers N`` streams the input graphs through a process pool in tasks
-of ``NG_CHUNK`` graphs, with at most ``2 * N`` tasks in flight
-(``--workers 1`` runs the same tasks inline, one at a time).  The parent remembers the two
-values of each returned record, up to ``NG_KNOWN_MAX`` of them, first in
-first out, and seeds each new task's cache with those its graphs and their
-complements need.  In ``--enumerate`` order the complement of edge mask m
-is mask 2^E - 1 - m, so the second half of an enumeration is answered from
-the first.  Which values seed a task depends only on its position in the
-stream, so the report and the solver's work are the same on every run.
+Each subcommand is a row function, which turns one input graph into its
+record, plus a summary of the records.  All of them run on one pipeline:
+``--workers N`` streams the input graphs through a process pool in tasks of
+``NG_CHUNK`` graphs, with at most ``2 * N`` tasks in flight (``--workers 1``
+runs the same tasks inline, one at a time).  Each task hands its rows a
+value cache, which only ``ng``'s rows read and fill.  The parent remembers
+the values that returned caches hold for their graphs and complements, up
+to ``NG_KNOWN_MAX`` of them, first in first out, and seeds each new task's
+cache with those its graphs and their complements need.  In ``--enumerate``
+order the complement of edge mask m is mask 2^E - 1 - m, so the second half
+of an enumeration is answered from the first.  Which values seed a task
+depends only on its position in the stream, so the report and the solver's
+work are the same on every run.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ import sys
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Optional, Sequence
 
 from .families import Family, classify_graph, is_trivial_components, predict_gamma_ri2
 from .graphs import (
@@ -70,8 +75,8 @@ EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
-# ``ng`` hands the pool this many graphs per task, and the parent keeps at
-# most this many known values to seed later tasks with
+# the pipeline hands the pool this many graphs per task, and the parent
+# keeps at most this many known values to seed later tasks with
 NG_CHUNK = 512
 NG_KNOWN_MAX = 1 << 16
 
@@ -83,6 +88,10 @@ class InputError(Exception):
         super().__init__(f"input line {line}: {reason}")
         self.line = line
         self.reason = reason
+
+    def __reduce__(self):
+        # rebuilt from both arguments when a pool worker sends it back
+        return InputError, (self.line, self.reason)
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", dest="out_path", metavar="PATH",
                         help="report destination (default: stdout)")
         sp.add_argument("--workers", type=int, default=1, help="worker processes")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         sp.add_argument("--budget-labelings", dest="max_labelings", type=int,
                         default=SolverBudget().max_labelings,
                         help="cap on (k+1)^n for enumerative solvers")
@@ -145,6 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="report extremal graphs up to isomorphism")
     ng.add_argument("--oracle-check", dest="oracle_check", type=int, default=0,
                     help="re-solve this many sampled records with the brute solver")
+    ng.add_argument("--seed", type=int, default=0, help="seed for the --oracle-check sample")
     common(sub.add_parser("reduce", help="build and verify leaf-attachment reductions"), True)
     common(sub.add_parser("prism", help="cross-check against layered-product domination"), True)
     codec = sub.add_parser("codec", help="re-encode graphs as graph6")
@@ -162,123 +171,48 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     })
 
 
-def _read_text(cfg: RunConfig) -> tuple[str, str]:
-    if cfg.input_path is not None:
-        with open(cfg.input_path, "r", encoding="ascii") as fh:
-            return fh.read(), cfg.input_path
-    return sys.stdin.read(), "<stdin>"
-
-
-def _graph6_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped text) for every graph6 line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and stripped != ">>graph6<<":
-            yield lineno, stripped
-
-
-def _parse_line(lineno: int, text: str) -> Graph:
-    try:
-        return parse_graph6(text)
-    except (Graph6ParseError, UnsupportedSizeError, ValueError) as err:
-        raise InputError(lineno, str(err)) from err
-
-
-def _iter_inputs(cfg: RunConfig) -> Iterator[tuple[int, Graph]]:
-    """Yield (line number, graph) pairs from the configured source."""
+def _iter_inputs(cfg: RunConfig) -> Iterator[tuple[int, Optional[str], Graph]]:
+    """Yield (line number, graph6 text or None, graph) from the configured source."""
     if cfg.enumerate_n is not None and cfg.input_path is not None:
         raise InputError(0, "--input and --enumerate are mutually exclusive")
     if cfg.enumerate_n is not None:
-        for i, g in enumerate(enumerate_labeled_graphs(cfg.enumerate_n)):
-            yield i + 1, g
+        for i, g in enumerate(enumerate_labeled_graphs(cfg.enumerate_n), start=1):
+            yield i, None, g
         return
-    text, _ = _read_text(cfg)
+    text = sys.stdin.read() if cfg.input_path is None else Path(cfg.input_path).read_text("ascii")
     lines = text.splitlines()
     first = next((ln for ln in lines if ln.strip() and not ln.strip().startswith(">>graph6<<")), "")
     if looks_like_edge_list(first):
         try:
-            yield 1, parse_edge_list(text)
+            yield 1, None, parse_edge_list(text)
         except ValueError as err:
             raise InputError(1, str(err)) from err
         return
-    for lineno, stripped in _graph6_lines(text):
-        yield lineno, _parse_line(lineno, stripped)
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped == ">>graph6<<":
+            continue
+        try:
+            yield lineno, stripped, parse_graph6(stripped)
+        except (Graph6ParseError, UnsupportedSizeError, ValueError) as err:
+            raise InputError(lineno, str(err)) from err
 
 
-class _Report:
-    """Accumulates record lines plus a JSON summary and writes them at once."""
-
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self.lines: list[str] = []
-
-    def add(self, line: str) -> None:
-        self.lines.append(line)
-
-    def write(self, summary: dict) -> None:
-        body = "".join(line + "\n" for line in self.lines)
-        body += json.dumps(summary, sort_keys=True) + "\n"
-        if self.cfg.out_path is None:
-            # flushed here, so a vanished reader surfaces as an exit code
-            # rather than as an error at interpreter shutdown
-            sys.stdout.write(body)
-            sys.stdout.flush()
-        else:
-            with open(self.cfg.out_path, "w", encoding="ascii") as fh:
-                fh.write(body)
+def _write_report(cfg: RunConfig, lines: list[str], summary: dict) -> None:
+    """Write the record lines plus the JSON summary line, all at once."""
+    body = "".join(line + "\n" for line in lines) + json.dumps(summary, sort_keys=True) + "\n"
+    if cfg.out_path is None:
+        # flushed here, so a vanished reader surfaces as an exit code
+        # rather than as an error at interpreter shutdown
+        sys.stdout.write(body)
+        sys.stdout.flush()
+    else:
+        with open(cfg.out_path, "w", encoding="ascii") as fh:
+            fh.write(body)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
-
-
-def _cmd_solve(cfg: RunConfig) -> int:
-    if cfg.k < 1:
-        raise InputError(0, "--k must be at least 1")
-    report = _Report(cfg)
-    count = 0
-    for _, g in _iter_inputs(cfg):
-        res = gamma_bnb(g, cfg.k, cfg.budget)
-        report.add("\t".join((
-            encode_graph6(g), str(g.n), str(cfg.k), str(res.value), res.witness.to_text(),
-        )))
-        count += 1
-    report.write({"command": "solve", "k": cfg.k, "records": count})
-    return EXIT_OK
-
-
-def _cmd_classify(cfg: RunConfig) -> int:
-    report = _Report(cfg)
-    count = matches = trivial_count = 0
-    for _, g in _iter_inputs(cfg):
-        trivial = is_trivial_components(g)
-        family = Family.NONE
-        is_match = False
-        if g.n >= 3:
-            gc = classify_graph(g)
-            is_match = gc.matches_n_minus_1
-            if gc.special is not None:
-                family = gc.special[1].family
-        predicted = predict_gamma_ri2(g)
-        report.add("\t".join((
-            encode_graph6(g), str(g.n), family.value,
-            "true" if trivial else "false",
-            "true" if is_match else "false",
-            "-" if predicted is None else str(predicted),
-        )))
-        count += 1
-        matches += is_match
-        trivial_count += trivial
-    report.write({
-        "command": "classify", "records": count,
-        "matches_n_minus_1": matches, "trivially_small": trivial_count,
-    })
-    return EXIT_OK
-
-
-def _ng_chunk(graphs: Sequence[Graph], seeds: GammaCache, budget: SolverBudget) -> list[NGRecord]:
-    """One task: the records of ``graphs``, starting from the known ``seeds``."""
-    return [ng_record(g, seeds, budget) for g in graphs]
+# the row pipeline
 
 
 class _InlinePool:
@@ -290,54 +224,127 @@ class _InlinePool:
         return fut
 
 
-def _ng_stream(
-    cfg: RunConfig, pool: ProcessPoolExecutor | _InlinePool, window: int
-) -> Iterator[NGRecord]:
-    """Records of the input stream in order, computed ``NG_CHUNK`` graphs a task.
+def _task(row: Callable, items: list, cache: GammaCache, cfg: RunConfig) -> tuple[list, GammaCache]:
+    """One task: the rows of ``items``, and the value cache they leave behind."""
+    return [row(lineno, text, g, cache, cfg) for lineno, text, g in items], cache
+
+
+def _stream(
+    cfg: RunConfig, row: Callable, pool: ProcessPoolExecutor | _InlinePool, window: int
+) -> Iterator:
+    """Rows of the input stream in order, computed ``NG_CHUNK`` graphs a task.
 
     At most ``window`` tasks are in flight, and a full window waits for its
     oldest task, so the values that seed a task depend only on its position,
-    never on timing.  ``known`` holds the last ``NG_KNOWN_MAX`` values
-    returned (first in, first out); each task gets those its graphs and
-    their complements need.
+    never on timing.  ``known`` holds the last ``NG_KNOWN_MAX`` values that
+    returned caches hold for their graphs and complements (first in, first
+    out); each task's cache starts with those its graphs and their
+    complements need.  Rows that never fill a cache leave ``known`` empty,
+    and then no task computes its cache keys.
     """
-    graphs = (g for _, g in _iter_inputs(cfg) if g.n >= cfg.min_n)
+    items = (item for item in _iter_inputs(cfg) if item[2].n >= cfg.min_n)
     known: OrderedDict[GammaKey, int] = OrderedDict()
-    pending: deque[tuple[Future, list[tuple[GammaKey, GammaKey]]]] = deque()
+    pending: deque[tuple[Future, list, Optional[list[tuple[GammaKey, GammaKey]]]]] = deque()
 
-    def oldest() -> list[NGRecord]:
-        fut, keys = pending.popleft()
-        recs = fut.result()
-        for (key, ckey), rec in zip(keys, recs):
-            known[key] = rec.gamma
-            known[ckey] = rec.gamma_comp
-        while len(known) > NG_KNOWN_MAX:
-            known.popitem(last=False)
-        return recs
+    def oldest() -> list:
+        fut, batch, keys = pending.popleft()
+        rows, cache = fut.result()
+        if cache:
+            keys = keys or [cache_keys(g) for _, _, g in batch]
+            known.update((key, cache[key]) for pair in keys for key in pair if key in cache)
+            while len(known) > NG_KNOWN_MAX:
+                known.popitem(last=False)
+        return rows
 
-    while batch := list(itertools.islice(graphs, NG_CHUNK)):
+    while batch := list(itertools.islice(items, NG_CHUNK)):
         if len(pending) == window:
             yield from oldest()
-        keys = [cache_keys(g) for g in batch]
-        seeds = {key: known[key] for pair in keys for key in pair if key in known}
-        pending.append((pool.submit(_ng_chunk, batch, seeds, cfg.budget), keys))
+        keys = [cache_keys(g) for _, _, g in batch] if known else None
+        seeds = {key: known[key] for pair in keys for key in pair if key in known} if keys else {}
+        pending.append((pool.submit(_task, row, batch, seeds, cfg), batch, keys))
     while pending:
         yield from oldest()
 
 
-def _ng_records(cfg: RunConfig) -> list[NGRecord]:
+def _rows(cfg: RunConfig, row: Callable) -> list:
+    """The rows of every input graph, in input order, on ``cfg.workers`` processes."""
     if cfg.workers == 1:
-        return list(_ng_stream(cfg, _InlinePool(), window=1))
+        return list(_stream(cfg, row, _InlinePool(), window=1))
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(_ng_stream(cfg, pool, window=2 * cfg.workers))
+        try:
+            return list(_stream(cfg, row, pool, window=2 * cfg.workers))
+        except BaseException:
+            # a failed run waits for none of the tasks still in flight
+            for proc in pool._processes.values():
+                proc.terminate()
+            raise
+
+
+def _tally(cfg: RunConfig, row: Callable, names: tuple[str, ...], **head) -> int:
+    """Report (line, tallies) rows under ``head``, the record count and each tally's sum."""
+    rows = _rows(cfg, row)
+    summary = {**head, "records": len(rows)}
+    for i, name in enumerate(names):
+        summary[name] = sum(tallies[i] for _, tallies in rows)
+    _write_report(cfg, [line for line, _ in rows], summary)
+    return EXIT_VIOLATION if summary.get("mismatches") else EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# subcommands: a row function each, and the summary of its rows
+#
+# A row takes (line number, graph6 line or None, graph, value cache, config)
+# and returns the graph's record: a (report line, tallies) pair for
+# ``_tally``, an ``NGRecord`` for ``ng``.  Rows run in pool workers, so they
+# are module-level functions, and they call the solvers and the codec
+# through this module's globals.
+
+
+def _tsv(*fields: object) -> str:
+    return "\t".join(map(str, fields))
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _solve_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+    res = gamma_bnb(g, cfg.k, cfg.budget)
+    return _tsv(encode_graph6(g), g.n, cfg.k, res.value, res.witness.to_text()), ()
+
+
+def _cmd_solve(cfg: RunConfig) -> int:
+    if cfg.k < 1:
+        raise InputError(0, "--k must be at least 1")
+    return _tally(cfg, _solve_row, (), command="solve", k=cfg.k)
+
+
+def _classify_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+    trivial = is_trivial_components(g)
+    family = Family.NONE
+    is_match = False
+    if g.n >= 3:
+        gc = classify_graph(g)
+        is_match = gc.matches_n_minus_1
+        if gc.special is not None:
+            family = gc.special[1].family
+    predicted = predict_gamma_ri2(g)
+    line = _tsv(encode_graph6(g), g.n, family.value, _flag(trivial), _flag(is_match),
+                "-" if predicted is None else predicted)
+    return line, (is_match, trivial)
+
+
+def _cmd_classify(cfg: RunConfig) -> int:
+    return _tally(cfg, _classify_row, ("matches_n_minus_1", "trivially_small"), command="classify")
+
+
+def _ng_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+    return ng_record(g, cache, cfg.budget)
 
 
 def _cmd_ng(cfg: RunConfig) -> int:
-    records = _ng_records(cfg)
+    records: list[NGRecord] = _rows(cfg, _ng_row)
     ngreport = report_from_records(records)
-    report = _Report(cfg)
-    for rec in records:
-        report.add(rec.to_line())
     summary: dict = {
         "command": "ng",
         "records": len(records),
@@ -364,78 +371,51 @@ def _cmd_ng(cfg: RunConfig) -> int:
                 mismatches += 1
         summary["oracle_checked"] = len(picks)
         summary["oracle_mismatches"] = mismatches
-    report.write(summary)
+    _write_report(cfg, [rec.to_line() for rec in records], summary)
     return EXIT_VIOLATION if ngreport.violations or mismatches else EXIT_OK
+
+
+def _reduce_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+    parts = bipartition(g)
+    if parts is None:
+        raise InputError(lineno, "graph is not bipartite")
+    inst = build_reduction(g, parts, cfg.k)
+    check = verify_reduction(inst, cfg.budget)
+    line = _tsv(serialize_instance(inst), check.gamma_dom, check.gamma_rik_target,
+                check.expected, _flag(check.equal))
+    return line, (not check.equal,)
 
 
 def _cmd_reduce(cfg: RunConfig) -> int:
     if cfg.k < 2:
         raise InputError(0, "--k must be at least 2 for the reduction")
-    report = _Report(cfg)
-    count = mismatches = 0
-    for lineno, g in _iter_inputs(cfg):
-        parts = bipartition(g)
-        if parts is None:
-            raise InputError(lineno, "graph is not bipartite")
-        inst = build_reduction(g, parts, cfg.k)
-        check = verify_reduction(inst)
-        report.add("\t".join((
-            serialize_instance(inst),
-            str(check.gamma_dom), str(check.gamma_rik_target),
-            str(check.expected), "true" if check.equal else "false",
-        )))
-        count += 1
-        mismatches += not check.equal
-    report.write({
-        "command": "reduce", "k": cfg.k, "records": count, "mismatches": mismatches,
-    })
-    return EXIT_VIOLATION if mismatches else EXIT_OK
+    return _tally(cfg, _reduce_row, ("mismatches",), command="reduce", k=cfg.k)
+
+
+def _prism_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+    check = prism_check(g, cfg.k, cfg.budget)
+    line = _tsv(encode_graph6(g), g.n, cfg.k, check.gamma.value, check.ids.value,
+                _flag(check.equal), _flag(check.lifted_valid))
+    return line, (not (check.equal and check.lifted_valid),)
 
 
 def _cmd_prism(cfg: RunConfig) -> int:
     if cfg.k < 1:
         raise InputError(0, "--k must be at least 1")
-    report = _Report(cfg)
-    count = mismatches = 0
-    for _, g in _iter_inputs(cfg):
-        check = prism_check(g, cfg.k, cfg.budget)
-        ok = check.equal and check.lifted_valid
-        report.add("\t".join((
-            encode_graph6(g), str(g.n), str(cfg.k),
-            str(check.gamma.value), str(check.ids.value),
-            "true" if check.equal else "false",
-            "true" if check.lifted_valid else "false",
-        )))
-        count += 1
-        mismatches += not ok
-    report.write({
-        "command": "prism", "k": cfg.k, "records": count, "mismatches": mismatches,
-    })
-    return EXIT_VIOLATION if mismatches else EXIT_OK
+    return _tally(cfg, _prism_row, ("mismatches",), command="prism", k=cfg.k)
+
+
+def _codec_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+    out = encode_graph6(g)
+    if cfg.roundtrip and text is None:
+        raise InputError(lineno, "--roundtrip needs graph6 input lines")
+    return out, (cfg.roundtrip and out != text.removeprefix(">>graph6<<"),)
 
 
 def _cmd_codec(cfg: RunConfig) -> int:
-    report = _Report(cfg)
-    count = mismatches = 0
-    if cfg.roundtrip:
-        if cfg.enumerate_n is not None:
-            raise InputError(0, "--roundtrip needs graph6 input lines")
-        text, _ = _read_text(cfg)
-        for lineno, stripped in _graph6_lines(text):
-            out = encode_graph6(_parse_line(lineno, stripped))
-            bare = stripped.removeprefix(">>graph6<<")
-            report.add(out)
-            count += 1
-            mismatches += out != bare
-    else:
-        for _, g in _iter_inputs(cfg):
-            report.add(encode_graph6(g))
-            count += 1
-    report.write({
-        "command": "codec", "records": count,
-        "roundtrip": cfg.roundtrip, "mismatches": mismatches,
-    })
-    return EXIT_VIOLATION if mismatches else EXIT_OK
+    if cfg.roundtrip and cfg.enumerate_n is not None:
+        raise InputError(0, "--roundtrip needs graph6 input lines")
+    return _tally(cfg, _codec_row, ("mismatches",), command="codec", roundtrip=cfg.roundtrip)
 
 
 _HANDLERS = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, MAX_VERTICES, UnsupportedSizeError, bits, encode_graph6, parse_graph6
-from .solver import Labeling, domination_number, gamma_bnb, validate
+from .solver import Labeling, SolverBudget, domination_number, gamma_bnb, validate
 
 
 def bipartition(g: Graph) -> Optional[tuple[int, int]]:
@@ -161,10 +161,10 @@ class ReductionReport:
     equal: bool
 
 
-def verify_reduction(inst: ReductionInstance) -> ReductionReport:
-    """Check the value identity on one instance with the exact solvers."""
-    gamma_dom = domination_number(inst.source).value
-    gamma_target = gamma_bnb(inst.target, inst.k).value
+def verify_reduction(inst: ReductionInstance, budget: Optional[SolverBudget] = None) -> ReductionReport:
+    """Check the value identity on one instance with the exact solvers, under ``budget``."""
+    gamma_dom = domination_number(inst.source, budget).value
+    gamma_target = gamma_bnb(inst.target, inst.k, budget).value
     expected = (inst.k - 1) * inst.source.n + gamma_dom
     return ReductionReport(gamma_dom, gamma_target, expected, gamma_target == expected)
 

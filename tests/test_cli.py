@@ -1,16 +1,34 @@
 """End-to-end tests of the command line front end."""
 
+import importlib
+import importlib.util
 import io
 import json
 import os
+import pickle
 import sys
+import time
+from concurrent.futures import Executor
+from pathlib import Path
 
 import pytest
 
 from ridom import cli, nordhaus
-from ridom.cli import run
-from ridom.graphs import cycle_graph, encode_graph6, enumerate_labeled_graphs, star_graph
+from ridom.cli import InputError, run
+from ridom.graphs import (
+    cycle_graph,
+    encode_graph6,
+    enumerate_labeled_graphs,
+    path_graph,
+    star_graph,
+)
 from ridom.nordhaus import ng_record
+from ridom.reduction import bipartition
+
+# the 41 bipartite labeled graphs on 4 vertices and a few larger ones
+BIPARTITE_LINES = [
+    encode_graph6(g) for g in enumerate_labeled_graphs(4) if bipartition(g) is not None
+] + [encode_graph6(g) for g in (cycle_graph(6), path_graph(7), star_graph(5))]
 
 
 def last_json(text: str) -> dict:
@@ -207,6 +225,42 @@ def test_reduce_rejects_non_bipartite_input(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_reduce_names_the_non_bipartite_line_under_every_worker_count(monkeypatch, capsys, workers):
+    # the error is raised in a pool worker under --workers 2 and must reach
+    # the parent intact
+    monkeypatch.setattr(sys, "stdin", io.StringIO("A_\nBw\n"))
+    assert run(["reduce", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input line 2: graph is not bipartite\n"
+
+
+def test_failed_pool_run_waits_for_no_task_in_flight(monkeypatch, capsys):
+    # line 1 fails at once, while each later task would take a minute
+    monkeypatch.setattr(cli, "NG_CHUNK", 1)
+    monkeypatch.setattr(cli, "verify_reduction", lambda inst, budget: time.sleep(60))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\nA_\nA_\nA_\n"))
+    start = time.monotonic()
+    assert run(["reduce", "--workers", "2"]) == 2
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err == "error: input line 1: graph is not bipartite\n"
+
+
+def test_input_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(InputError(3, "x")))
+    assert (err.line, err.reason, str(err)) == (3, "x", "input line 3: x")
+
+
+def test_reduce_honours_the_budget(tmp_path, capsys):
+    src = write_lines(tmp_path / "in.g6", ["Cr"])
+    args = ["reduce", "--k", "2", "--input", src]
+    assert run(args + ["--budget-nodes", "1"]) == 2
+    assert "budget of 1 nodes" in capsys.readouterr().err
+    assert run(args + ["--budget-subsets", "1"]) == 2
+    assert run(args) == 0
+
+
 def test_reduce_rejects_k1(tmp_path):
     src = write_lines(tmp_path / "in.g6", ["A_"])
     assert run(["reduce", "--k", "1", "--input", src]) == 2
@@ -247,6 +301,15 @@ def test_codec_roundtrip_needs_graph6(tmp_path):
     assert run(["codec", "--roundtrip", "--enumerate", "3"]) == 2
 
 
+def test_codec_roundtrip_refuses_edge_lists(tmp_path, capsys):
+    src = tmp_path / "c4.txt"
+    src.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n", encoding="ascii")
+    assert run(["codec", "--roundtrip", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--roundtrip needs graph6 input lines" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # errors and plumbing
 # ---------------------------------------------------------------------------
@@ -272,6 +335,46 @@ def test_usage_errors():
     assert run(["frobnicate"]) == 2
     assert run(["solve", "--no-such-flag"]) == 2
     assert run(["solve", "--workers", "0"]) == 2
+    # --seed belongs to ng alone; --enumerate keeps stdin out of the way
+    assert run(["solve", "--enumerate", "1", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--k", "3"], ["classify"], ["reduce", "--k", "2"], ["prism", "--k", "2"],
+    ["codec"], ["codec", "--roundtrip"],
+])
+def test_reports_are_worker_independent_for_every_subcommand(tmp_path, monkeypatch, args):
+    # tasks of 7 graphs, so several are in flight at once
+    monkeypatch.setattr(cli, "NG_CHUNK", 7)
+    src = write_lines(tmp_path / "in.g6", BIPARTITE_LINES)
+    reports = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}.tsv"
+        assert run(args + ["--input", src, "--workers", str(workers), "--out", str(out)]) == 0
+        reports.append(out.read_text(encoding="ascii"))
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].count("\n") == len(BIPARTITE_LINES) + 1
+
+
+def test_traced_benchmark_names_still_resolve(tmp_path, monkeypatch):
+    # perfbench/spans.py replaces these names to trace a run, and fails on
+    # one that is gone; the CLI must also still look them up where it runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _, _ in spans.PATCHES:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    assert issubclass(cli.ProcessPoolExecutor, Executor)
+
+    calls = []
+    for name in ("gamma_bnb", "ng_record", "encode_graph6"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    src = write_lines(tmp_path / "in.g6", ["DqK", "A_"])
+    assert run(["solve", "--input", src, "--out", str(tmp_path / "s.tsv")]) == 0
+    assert run(["ng", "--input", src, "--out", str(tmp_path / "n.tsv")]) == 0
+    assert calls == ["gamma_bnb", "encode_graph6"] * 2 + ["ng_record"] * 2
 
 
 def test_help_exits_cleanly(capsys):
