@@ -45,6 +45,7 @@ from .graphs import (
     Graph6ParseError,
     UnsupportedSizeError,
     canonical_form,  # not called here; perfbench/spans.py traces this name
+    complement,
     encode_graph6,
     enumerate_labeled_graphs,
     looks_like_edge_list,
@@ -366,8 +367,10 @@ def _cmd_ng(cfg: RunConfig) -> int:
         picks = rng.sample(range(len(records)), min(cfg.oracle_check, len(records)))
         for idx in sorted(picks):
             rec = records[idx]
-            brute = gamma_brute(parse_graph6(rec.graph6), 2, cfg.budget)
-            if brute.value != rec.gamma:
+            g = parse_graph6(rec.graph6)
+            brute = gamma_brute(g, 2, cfg.budget).value
+            brute_comp = gamma_brute(complement(g), 2, cfg.budget).value
+            if (brute, brute_comp) != (rec.gamma, rec.gamma_comp):
                 mismatches += 1
         summary["oracle_checked"] = len(picks)
         summary["oracle_mismatches"] = mismatches

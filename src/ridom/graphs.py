@@ -65,10 +65,14 @@ class Graph:
                 raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.adj):
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
+        adj = self.adj
+        for v, row in enumerate(adj):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     @property
     def full_mask(self) -> int:

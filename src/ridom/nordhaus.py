@@ -92,16 +92,17 @@ def ng_record(
 
     ``cache`` maps the keys of :func:`cache_keys` to known values and gains
     the values solved here; the complement is built only when its value is
-    not in it.  Both solves run under ``budget`` (default: ``DEFAULT_BUDGET``).
+    not in it.  Both solves run under ``budget`` (default: ``DEFAULT_BUDGET``)
+    and ask for the value only, so they skip the lex-min witness phase.
     """
     cache = {} if cache is None else cache
     key, ckey = cache_keys(g)
     gamma = cache.get(key)
     if gamma is None:
-        gamma = cache[key] = gamma_bnb(g, 2, budget).value
+        gamma = cache[key] = gamma_bnb(g, 2, budget, lexmin=False).value
     gamma_comp = cache.get(ckey)
     if gamma_comp is None:
-        gamma_comp = cache[ckey] = gamma_bnb(complement(g), 2, budget).value
+        gamma_comp = cache[ckey] = gamma_bnb(complement(g), 2, budget, lexmin=False).value
     total = gamma + gamma_comp
     return NGRecord(
         graph6=encode_graph6(g),

@@ -15,8 +15,10 @@ the manner of Gaspers and Liedloff's minimum independent dominating set
 algorithm (DMTCS 2012).  They must always agree; the test suite enforces
 this exhaustively on small graphs, and beyond brute force's reach checks
 ``gamma_bnb`` against an ILP and the earlier vertex-order search.  All
-solvers are pure and deterministic, returning the lexicographically smallest
-optimal labeling (vertex index order, label order 0 < 1 < ... < k).
+solvers are pure and deterministic.  By default they return the
+lexicographically smallest optimal labeling (vertex index order, label order
+0 < 1 < ... < k); ``gamma_bnb(..., lexmin=False)`` skips that refinement and
+returns the same value with an optimal witness that need not be lex-min.
 """
 
 from __future__ import annotations
@@ -289,9 +291,9 @@ def solve_constrained(
 
 
 def _bnb_component(
-    adj: Sequence[int], n: int, k: int, max_nodes: int, spent: int
+    adj: Sequence[int], n: int, k: int, max_nodes: int, spent: int, lexmin: bool
 ) -> tuple[int, list[int], int]:
-    """Exact optimum on one connected component, plus its lex-min witness.
+    """Exact optimum on one connected component, plus an optimal witness.
 
     The search runs on the prism G □ K_k without building it, through
     γ_rik(G) = i(G □ K_k): pair ``(v, c)``, vertex v carrying color c + 1,
@@ -331,7 +333,9 @@ def _bnb_component(
       search.  Labels that cannot work are skipped unsearched: 0 at a vertex
       of degree < k, and a color that a neighbor in the prefix carries.  A
       label below ``m + 1`` opens no new color, so the prefix stays in
-      first-use order.
+      first-use order.  With ``lexmin=False`` this phase is skipped: the
+      witness is the first phase's best solution, optimal but not
+      necessarily lex-min, and the node count is the first phase's alone.
 
     Raises :class:`BudgetExceededError` once this search's nodes plus the
     ``spent`` ones (on the graph's earlier components) exceed ``max_nodes``.
@@ -443,6 +447,8 @@ def _bnb_component(
     search(0, 0, full, 0, 0)
     value = best
     witness = labels_of(best_set)
+    if not lexmin:
+        return value, witness, nodes
     first = True
     chosen = dom = size = m = 0
     free = full
@@ -473,13 +479,17 @@ def _bnb_component(
     return value, witness, nodes
 
 
-def gamma_bnb(g: Graph, k: int, budget: SolverBudget | None = None) -> SolveResult:
+def gamma_bnb(
+    g: Graph, k: int, budget: SolverBudget | None = None, *, lexmin: bool = True
+) -> SolveResult:
     """Branch-and-bound solver; decomposes into connected components.
 
     Feasibility is component-local and the weight is additive, so each
     component is solved on its own and the per-component lex-min witnesses
     compose into the global lex-min optimal labeling.  The components share
-    ``budget.max_nodes``.
+    ``budget.max_nodes``.  Callers that read only the value pass
+    ``lexmin=False``: each component then stops after its first phase, and
+    the witness is optimal and feasible but need not be lex-min.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -488,7 +498,7 @@ def gamma_bnb(g: Graph, k: int, budget: SolverBudget | None = None) -> SolveResu
     total = 0
     nodes = 0
     for part, vmap in components(g).parts:
-        val, wit, explored = _bnb_component(part.adj, part.n, k, budget.max_nodes, nodes)
+        val, wit, explored = _bnb_component(part.adj, part.n, k, budget.max_nodes, nodes, lexmin)
         total += val
         nodes += explored
         for local, orig in zip(wit, vmap):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end."""
 
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -150,7 +151,7 @@ def test_ng_inline_path_solves_each_labeled_graph_once(tmp_path, monkeypatch, ch
     monkeypatch.setattr(cli, "NG_CHUNK", chunk)
     calls = []
     solve = nordhaus.gamma_bnb
-    monkeypatch.setattr(nordhaus, "gamma_bnb", lambda g, *rest: calls.append(g) or solve(g, *rest))
+    monkeypatch.setattr(nordhaus, "gamma_bnb", lambda g, *rest, **kw: calls.append(g) or solve(g, *rest, **kw))
     assert run(["ng", "--enumerate", "5", "--out", str(tmp_path / "r.tsv")]) == 0
     assert len(calls) == 1024
     assert len({g.adj for g in calls}) == 1024
@@ -188,6 +189,28 @@ def test_ng_oracle_check_agrees(tmp_path, capsys):
     assert summary["oracle_checked"] == 10
     assert summary["oracle_mismatches"] == 0
     assert summary["seed"] == 7
+
+
+@pytest.mark.parametrize("field", ["gamma", "gamma_comp"])
+def test_ng_oracle_check_catches_either_wrong_value(tmp_path, capsys, monkeypatch, field):
+    # one record carries a wrong value on one side; sum and status stay
+    # as they were, so only the oracle can make the run fail
+    bad = encode_graph6(star_graph(3))
+    real = cli.ng_record
+
+    def corrupt(g, *rest):
+        rec = real(g, *rest)
+        if rec.graph6 == bad:
+            rec = dataclasses.replace(rec, **{field: getattr(rec, field) + 1})
+        return rec
+
+    monkeypatch.setattr(cli, "ng_record", corrupt)
+    src = write_lines(tmp_path / "in.g6", ["Bw", bad, "DqK"])
+    assert run(["ng", "--input", src, "--oracle-check", "3"]) == 1
+    summary = last_json(capsys.readouterr().out)
+    assert summary["violations"] == 0
+    assert summary["oracle_checked"] == 3
+    assert summary["oracle_mismatches"] == 1
 
 
 def test_ng_budget_refusal(tmp_path):
@@ -379,7 +402,10 @@ def test_traced_benchmark_names_still_resolve(tmp_path, monkeypatch):
 
 def test_help_exits_cleanly(capsys):
     assert run(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    assert "exact k-rainbow independent domination toolkit for small graphs" in out
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("    ")}
+    assert {"solve", "classify", "ng", "reduce", "prism", "codec"} <= listed
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from gtools import graphs
+from ridom import nordhaus
 from ridom.graphs import (
     Graph,
     UnsupportedSizeError,
@@ -41,6 +42,21 @@ from ridom.solver import gamma_bnb
 # ---------------------------------------------------------------------------
 # single records
 # ---------------------------------------------------------------------------
+
+def test_record_solves_for_values_only(monkeypatch):
+    # both solves skip the lex-min witness phase, whose result a record drops
+    calls = []
+
+    def spy(g, k, budget=None, **kw):
+        calls.append((g.adj, kw))
+        return gamma_bnb(g, k, budget, **kw)
+
+    monkeypatch.setattr(nordhaus, "gamma_bnb", spy)
+    g = star_graph(3)
+    rec = ng_record(g)
+    assert calls == [(g.adj, {"lexmin": False}), (complement(g).adj, {"lexmin": False})]
+    assert (rec.gamma, rec.gamma_comp) == (gamma_bnb(g, 2).value, gamma_bnb(complement(g), 2).value)
+
 
 def test_five_cycle_record_is_the_lone_exception():
     rec = ng_record(cycle_graph(5))

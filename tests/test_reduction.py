@@ -2,6 +2,7 @@
 
 import pytest
 
+from ridom import reduction
 from ridom.graphs import (
     Graph,
     UnsupportedSizeError,
@@ -168,6 +169,20 @@ def test_verify_path_three_colors():
     assert report.gamma_dom == 1
     assert report.expected == 7
     assert report.equal
+
+
+def test_verify_solves_the_target_for_its_value_only(monkeypatch):
+    calls = []
+
+    def spy(g, k, budget=None, **kw):
+        calls.append((g.adj, k, kw))
+        return gamma_bnb(g, k, budget, **kw)
+
+    monkeypatch.setattr(reduction, "gamma_bnb", spy)
+    inst = build(path_graph(3), 3)
+    report = verify_reduction(inst)
+    assert calls == [(inst.target.adj, 3, {"lexmin": False})]
+    assert report.gamma_rik_target == gamma_bnb(inst.target, 3).value == 7
 
 
 def test_correspondence_on_small_bipartite_sources():

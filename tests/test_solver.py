@@ -195,24 +195,72 @@ def test_bnb_matches_brute_on_seeded_random_graphs():
         assert a.witness == b.witness, encode_graph6(g)
 
 
-def test_bnb_matches_vertex_order_search_beyond_brute_reach():
-    # the earlier vertex-order search checks lex-min witnesses at orders
-    # where enumerating labelings cannot; mid-density graphs at k=3 above
-    # n=18 are left out because that search is slow on them
+def beyond_brute_reach_instances():
+    """Seeded G(n, p) with n = 13..22 at k = 1..3, as (graph, k) pairs.
+
+    Mid-density graphs at k=3 above n=18 are left out because the earlier
+    vertex-order search is slow on them.
+    """
     rng = random.Random(13)
-    checked = 0
     for _ in range(60):
         n = rng.randint(13, 22)
         k = rng.randint(1, 3)
         p = rng.choice([0.1, 0.3, 0.5, 0.8])
         if k == 3 and n > 18 and p in (0.3, 0.5):
             continue
-        g = random_graph(rng, n, p)
+        yield random_graph(rng, n, p), k
+
+
+def test_bnb_matches_vertex_order_search_beyond_brute_reach():
+    # the earlier vertex-order search checks lex-min witnesses at orders
+    # where enumerating labelings cannot
+    checked = 0
+    for g, k in beyond_brute_reach_instances():
         value, labels, _ = bnb_vertex_order(g, k)
         res = gamma_bnb(g, k)
         assert (res.value, res.witness.labels) == (value, labels), (encode_graph6(g), k)
         checked += 1
     assert checked >= 50
+
+
+def assert_value_only_agrees(g, k):
+    """``lexmin=False`` keeps the value, with a feasible optimal witness, in
+    no more nodes; returns the two node counts (value-only, default)."""
+    full = gamma_bnb(g, k)
+    fast = gamma_bnb(g, k, lexmin=False)
+    assert fast.value == full.value, (encode_graph6(g), k)
+    assert validate(g, fast.witness) == [], (encode_graph6(g), k)
+    assert weight(fast.witness) == fast.value, (encode_graph6(g), k)
+    assert fast.nodes_explored <= full.nodes_explored, (encode_graph6(g), k)
+    return fast.nodes_explored, full.nodes_explored
+
+
+def test_value_only_bnb_agrees_on_all_small_classes():
+    saved = {k: [0, 0] for k in (1, 2, 3)}
+    for n in range(8):
+        for g in enumerate_nonisomorphic(n):
+            for k in (1, 2, 3):
+                fast, full = assert_value_only_agrees(g, k)
+                if n == 6:
+                    saved[k][0] += fast
+                    saved[k][1] += full
+    # the 156 classes at n = 6: the witness phase costs nodes at every k
+    for k, (fast, full) in saved.items():
+        assert fast < full, k
+
+
+def test_value_only_bnb_agrees_beyond_brute_reach():
+    for g, k in beyond_brute_reach_instances():
+        assert_value_only_agrees(g, k)
+
+
+def test_value_only_bnb_witness_need_not_be_lexmin():
+    # on the triangle at k=2 the first phase's optimum colors vertices 0
+    # and 1; only the witness phase moves the zero to vertex 0
+    g = complete_graph(3)
+    fast = gamma_bnb(g, 2, lexmin=False)
+    assert gamma_bnb(g, 2).witness.labels == (0, 1, 2)
+    assert fast.value == 2 and fast.witness.labels != (0, 1, 2)
 
 
 @pytest.mark.parametrize("n", [25, 30])
