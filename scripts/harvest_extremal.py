@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from ridom.families import classify_graph
-from ridom.graphs import enumerate_nonisomorphic, is_connected, parse_graph6
+from ridom.graphs import CANONICAL_MAX_VERTICES, enumerate_nonisomorphic, is_connected
 from ridom.nordhaus import STATUS_AT_UPPER, ng_record, GammaCache
 
 
@@ -33,12 +33,12 @@ def parse_args(argv: list[str]) -> HarvestConfig:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--min-n", type=int, default=2)
     parser.add_argument("--max-n", type=int, default=7,
-                        help="largest vertex count (default 7, cap 8)")
+                        help=f"largest vertex count (default 7, cap {CANONICAL_MAX_VERTICES})")
     parser.add_argument("--connected", action="store_true",
                         help="harvest connected graphs only")
     args = parser.parse_args(argv)
-    if not 1 <= args.min_n <= args.max_n <= 8:
-        parser.error("need 1 <= min-n <= max-n <= 8")
+    if not 1 <= args.min_n <= args.max_n <= CANONICAL_MAX_VERTICES:
+        parser.error(f"need 1 <= min-n <= max-n <= {CANONICAL_MAX_VERTICES}")
     return HarvestConfig(args.min_n, args.max_n, args.connected)
 
 

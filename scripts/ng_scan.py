@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ridom.graphs import enumerate_nonisomorphic
+from ridom.graphs import CANONICAL_MAX_VERTICES, enumerate_nonisomorphic
 from ridom.nordhaus import (
     STATUS_AT_UPPER,
     STATUS_EXCEPTIONAL_C5,
@@ -35,12 +35,12 @@ class ScanConfig:
 def parse_args(argv: list[str]) -> ScanConfig:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=7,
-                        help="largest vertex count to scan (default 7, cap 8)")
+                        help=f"largest vertex count to scan (default 7, cap {CANONICAL_MAX_VERTICES})")
     parser.add_argument("--connected", action="store_true",
                         help="restrict the scan to connected graphs")
     args = parser.parse_args(argv)
-    if not 1 <= args.max_n <= 8:
-        parser.error("--max-n must be between 1 and 8")
+    if not 1 <= args.max_n <= CANONICAL_MAX_VERTICES:
+        parser.error(f"--max-n must be between 1 and {CANONICAL_MAX_VERTICES}")
     return ScanConfig(args.max_n, args.connected)
 
 

@@ -14,15 +14,17 @@ Each subcommand is a row function, which turns one input graph into its
 record, plus a summary of the records.  All of them run on one pipeline:
 ``--workers N`` streams the input graphs through a process pool in tasks of
 ``NG_CHUNK`` graphs, with at most ``2 * N`` tasks in flight (``--workers 1``
-runs the same tasks inline, one at a time).  Each task hands its rows a
-value cache, which only ``ng``'s rows read and fill.  The parent remembers
-the values that returned caches hold for their graphs and complements, up
-to ``NG_KNOWN_MAX`` of them, first in first out, and seeds each new task's
-cache with those its graphs and their complements need.  In ``--enumerate``
-order the complement of edge mask m is mask 2^E - 1 - m, so the second half
-of an enumeration is answered from the first.  Which values seed a task
-depends only on its position in the stream, so the report and the solver's
-work are the same on every run.
+runs the same tasks inline, one at a time).  The pool never has more
+processes than the machine has CPUs; the window stays ``2 * N`` whatever
+the pool's size.  Each task hands its rows a value cache, which only
+``ng``'s rows read and fill.  The parent remembers the values that returned
+caches hold for their graphs and complements, up to ``NG_KNOWN_MAX`` of
+them, first in first out, and seeds each new task's cache with those its
+graphs and their complements need.  In ``--enumerate`` order the
+complement of edge mask m is mask 2^E - 1 - m, so the second half of an
+enumeration is answered from the first.  Which values seed a task depends
+only on its position in the stream, so the report and the solver's work are
+the same on every run.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
-from .families import Family, classify_graph, is_trivial_components, predict_gamma_ri2
+from .families import Family, GraphClass, classify_graph
 from .graphs import (
     Graph,
-    Graph6ParseError,
     UnsupportedSizeError,
     canonical_form,  # not called here; perfbench/spans.py traces this name
     complement,
@@ -82,7 +83,7 @@ NG_CHUNK = 512
 NG_KNOWN_MAX = 1 << 16
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Malformed input, tagged with the 1-based line it came from."""
 
     def __init__(self, line: int, reason: str):
@@ -133,7 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="use the built-in labeled enumeration on N vertices")
         sp.add_argument("--out", dest="out_path", metavar="PATH",
                         help="report destination (default: stdout)")
-        sp.add_argument("--workers", type=int, default=1, help="worker processes")
+        sp.add_argument("--workers", type=int, default=1,
+                        help="worker processes (capped at the CPU count)")
         sp.add_argument("--budget-labelings", dest="max_labelings", type=int,
                         default=SolverBudget().max_labelings,
                         help="cap on (k+1)^n for enumerative solvers")
@@ -195,7 +197,7 @@ def _iter_inputs(cfg: RunConfig) -> Iterator[tuple[int, Optional[str], Graph]]:
             continue
         try:
             yield lineno, stripped, parse_graph6(stripped)
-        except (Graph6ParseError, UnsupportedSizeError, ValueError) as err:
+        except ValueError as err:
             raise InputError(lineno, str(err)) from err
 
 
@@ -238,31 +240,28 @@ def _stream(
     At most ``window`` tasks are in flight, and a full window waits for its
     oldest task, so the values that seed a task depend only on its position,
     never on timing.  ``known`` holds the last ``NG_KNOWN_MAX`` values that
-    returned caches hold for their graphs and complements (first in, first
-    out); each task's cache starts with those its graphs and their
-    complements need.  Rows that never fill a cache leave ``known`` empty,
-    and then no task computes its cache keys.
+    returned caches hold (first in, first out); a task's cache holds values
+    of its own graphs and their complements only, and starts with those of
+    them that ``known`` has.  Rows that never fill a cache leave ``known``
+    empty, and then no task computes its cache keys.
     """
     items = (item for item in _iter_inputs(cfg) if item[2].n >= cfg.min_n)
     known: OrderedDict[GammaKey, int] = OrderedDict()
-    pending: deque[tuple[Future, list, Optional[list[tuple[GammaKey, GammaKey]]]]] = deque()
+    pending: deque[Future] = deque()
 
     def oldest() -> list:
-        fut, batch, keys = pending.popleft()
-        rows, cache = fut.result()
-        if cache:
-            keys = keys or [cache_keys(g) for _, _, g in batch]
-            known.update((key, cache[key]) for pair in keys for key in pair if key in cache)
-            while len(known) > NG_KNOWN_MAX:
-                known.popitem(last=False)
+        rows, cache = pending.popleft().result()
+        known.update(cache)
+        while len(known) > NG_KNOWN_MAX:
+            known.popitem(last=False)
         return rows
 
     while batch := list(itertools.islice(items, NG_CHUNK)):
         if len(pending) == window:
             yield from oldest()
-        keys = [cache_keys(g) for _, _, g in batch] if known else None
-        seeds = {key: known[key] for pair in keys for key in pair if key in known} if keys else {}
-        pending.append((pool.submit(_task, row, batch, seeds, cfg), batch, keys))
+        keys = (key for _, _, g in batch for key in cache_keys(g)) if known else ()
+        seeds = {key: known[key] for key in keys if key in known}
+        pending.append(pool.submit(_task, row, batch, seeds, cfg))
     while pending:
         yield from oldest()
 
@@ -271,7 +270,9 @@ def _rows(cfg: RunConfig, row: Callable) -> list:
     """The rows of every input graph, in input order, on ``cfg.workers`` processes."""
     if cfg.workers == 1:
         return list(_stream(cfg, row, _InlinePool(), window=1))
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # the first submit forks every worker, so the pool stops at the CPU count;
+    # the window stays 2N, so the seeds and the solver's work do not depend on it
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
         try:
             return list(_stream(cfg, row, pool, window=2 * cfg.workers))
         except BaseException:
@@ -321,18 +322,12 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 
 def _classify_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
-    trivial = is_trivial_components(g)
-    family = Family.NONE
-    is_match = False
-    if g.n >= 3:
-        gc = classify_graph(g)
-        is_match = gc.matches_n_minus_1
-        if gc.special is not None:
-            family = gc.special[1].family
-    predicted = predict_gamma_ri2(g)
-    line = _tsv(encode_graph6(g), g.n, family.value, _flag(trivial), _flag(is_match),
-                "-" if predicted is None else predicted)
-    return line, (is_match, trivial)
+    # below 3 vertices every component is tiny: no family, value n
+    gc = classify_graph(g) if g.n >= 3 else GraphClass(None, True, False, g.n)
+    family = gc.special[1].family if gc.special is not None else Family.NONE
+    line = _tsv(encode_graph6(g), g.n, family.value, _flag(gc.trivially_small),
+                _flag(gc.matches_n_minus_1), "-" if gc.predicted is None else gc.predicted)
+    return line, (gc.matches_n_minus_1, gc.trivially_small)
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
@@ -445,16 +440,13 @@ def run(argv: Sequence[str]) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[cfg.subcommand](cfg)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except BrokenPipeError:
         # send the unflushed rest to devnull so shutdown does not fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (Graph6ParseError, UnsupportedSizeError, BudgetExceededError, ValueError, OSError) as err:
+    except (BudgetExceededError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

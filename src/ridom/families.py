@@ -100,12 +100,15 @@ class GraphClass:
 
     ``matches_n_minus_1`` is the structural condition for value ``n - 1``:
     exactly one component of order >= 3, carrying a family tag, with every
-    other component a single vertex or a single edge.
+    other component a single vertex or a single edge.  ``predicted`` is the
+    structure-only 2-rainbow value: ``n`` when every component has at most
+    2 vertices, ``n - 1`` on a match, None otherwise.
     """
 
     special: Optional[tuple[int, FamilyTag]]
     trivially_small: bool
     matches_n_minus_1: bool
+    predicted: Optional[int]
 
 
 def classify_graph(g: Graph) -> GraphClass:
@@ -124,6 +127,7 @@ def classify_graph(g: Graph) -> GraphClass:
         special=special,
         trivially_small=trivial,
         matches_n_minus_1=special is not None,
+        predicted=g.n if trivial else g.n - 1 if special is not None else None,
     )
 
 
@@ -133,8 +137,5 @@ def predict_gamma_ri2(g: Graph) -> Optional[int]:
     Returns ``n`` for all-tiny-component graphs, ``n - 1`` when the graph
     matches the extremal shape, and None otherwise.
     """
-    if is_trivial_components(g):
-        return g.n
-    if g.n >= 3 and classify_graph(g).matches_n_minus_1:
-        return g.n - 1
-    return None
+    # below 3 vertices every component is tiny
+    return g.n if g.n < 3 else classify_graph(g).predicted

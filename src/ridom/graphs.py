@@ -193,17 +193,7 @@ def components(g: Graph) -> ComponentDecomposition:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    comp = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        for v in bits(frontier):
-            grow |= g.adj[v]
-        frontier = grow & ~comp
-        comp |= grow
-    return comp == g.full_mask
+    return len(components(g).parts) <= 1
 
 
 def prism_product(g: Graph, k: int) -> Graph:

@@ -24,6 +24,7 @@ returns the same value with an optimal witness that need not be lex-min.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -171,34 +172,42 @@ def _feasible(adj: Sequence[int], labels: Sequence[int], k: int) -> bool:
     return True
 
 
-def _check_labeling_budget(n: int, k: int, budget: SolverBudget) -> int:
+def _check_labeling_budget(n: int, k: int, budget: SolverBudget) -> None:
     space = (k + 1) ** n
     if space > budget.max_labelings:
         raise BudgetExceededError(
             f"(k+1)^n = {space} labelings exceed the budget of "
             f"{budget.max_labelings}; use gamma_bnb for graphs this large"
         )
-    return space
 
 
-def gamma_brute(g: Graph, k: int, budget: SolverBudget | None = None) -> SolveResult:
-    """Reference solver: scan every labeling in lexicographic order."""
-    budget = budget or DEFAULT_BUDGET
-    space = _check_labeling_budget(g.n, k, budget)
-    if g.n == 0:
-        return SolveResult(0, Labeling(k, ()), 1, "brute")
+def _lex_scan(g: Graph, k: int, choices: Sequence[Sequence[int]]) -> Optional[SolveResult]:
+    """Lex-first minimum-weight feasible labeling with vertex v's label in ``choices[v]``.
+
+    Scans ``itertools.product(*choices)`` in lexicographic order, keeping the
+    first labeling of each strictly smaller weight; None when none is feasible.
+    """
     adj = g.adj
     best_w = g.n + 1
     best: Optional[tuple[int, ...]] = None
-    for cand in itertools.product(range(k + 1), repeat=g.n):
+    for cand in itertools.product(*choices):
         w = sum(1 for lab in cand if lab)
         if w >= best_w:
             continue
         if _feasible(adj, cand, k):
             best_w = w
             best = cand
-    assert best is not None  # the all-nonzero greedy always yields something
-    return SolveResult(best_w, Labeling(k, best), space, "brute")
+    if best is None:
+        return None
+    return SolveResult(best_w, Labeling(k, best), math.prod(map(len, choices)), "brute")
+
+
+def gamma_brute(g: Graph, k: int, budget: SolverBudget | None = None) -> SolveResult:
+    """Reference solver: scan every labeling in lexicographic order."""
+    _check_labeling_budget(g.n, k, budget or DEFAULT_BUDGET)
+    res = _lex_scan(g, k, [range(k + 1)] * g.n)
+    assert res is not None  # the all-nonzero greedy always yields something
+    return res
 
 
 def extend_greedy(g: Graph, partial: PartialLabeling, order: Sequence[int]) -> Labeling:
@@ -264,26 +273,8 @@ def solve_constrained(
         raise ValueError(f"fixed labels carry k={fixed.k}, solver asked for k={k}")
     if len(fixed.assigned) != g.n:
         raise ValueError(f"fixed covers {len(fixed.assigned)} vertices, graph has {g.n}")
-    free = fixed.unassigned()
-    _check_labeling_budget(len(free), k, budget)
-    adj = g.adj
-    base = list(fixed.assigned)
-    best_w = g.n + 1
-    best: Optional[tuple[int, ...]] = None
-    explored = 0
-    for choice in itertools.product(range(k + 1), repeat=len(free)):
-        explored += 1
-        for v, lab in zip(free, choice):
-            base[v] = lab
-        w = sum(1 for lab in base if lab)
-        if w >= best_w:
-            continue
-        if _feasible(adj, base, k):  # type: ignore[arg-type]
-            best_w = w
-            best = tuple(base)  # type: ignore[arg-type]
-    if best is None:
-        return None
-    return SolveResult(best_w, Labeling(k, best), explored, "brute")
+    _check_labeling_budget(len(fixed.unassigned()), k, budget)
+    return _lex_scan(g, k, [range(k + 1) if lab is None else (lab,) for lab in fixed.assigned])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ridom import cli, nordhaus
+from ridom import cli, families, nordhaus
 from ridom.cli import InputError, run
 from ridom.graphs import (
     cycle_graph,
@@ -105,6 +105,17 @@ def test_classify_unrecognized_graph_has_no_prediction(tmp_path, capsys):
     assert run(["classify", "--input", src]) == 0
     record = capsys.readouterr().out.splitlines()[0].split("\t")
     assert record[2] == "none" and record[5] == "-"
+
+
+def test_classify_decomposes_each_graph_once(tmp_path, monkeypatch, capsys):
+    # one decomposition per graph of order >= 3, none below
+    calls = []
+    decompose = families.components
+    monkeypatch.setattr(families, "components", lambda g: calls.append(g) or decompose(g))
+    lines = [encode_graph6(g) for n in range(5) for g in enumerate_labeled_graphs(n)]
+    assert run(["classify", "--input", write_lines(tmp_path / "in.g6", lines)]) == 0
+    assert len(calls) == 8 + 64
+    assert last_json(capsys.readouterr().out)["records"] == 1 + 1 + 2 + 8 + 64
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +284,7 @@ def test_failed_pool_run_waits_for_no_task_in_flight(monkeypatch, capsys):
 def test_input_error_survives_pickling():
     err = pickle.loads(pickle.dumps(InputError(3, "x")))
     assert (err.line, err.reason, str(err)) == (3, "x", "input line 3: x")
+    assert isinstance(err, ValueError)
 
 
 def test_reduce_honours_the_budget(tmp_path, capsys):
@@ -377,6 +389,31 @@ def test_reports_are_worker_independent_for_every_subcommand(tmp_path, monkeypat
         reports.append(out.read_text(encoding="ascii"))
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].count("\n") == len(BIPARTITE_LINES) + 1
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_pool_stops_at_the_cpu_count(tmp_path, monkeypatch, cpus):
+    started = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            started.append(len(self._processes))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    reports = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"w{workers}.tsv"
+        assert run(["ng", "--enumerate", "4", "--workers", workers, "--out", str(out)]) == 0
+        reports.append(out.read_text(encoding="ascii"))
+    # one pool of one process for --workers 3; --workers 1 runs inline
+    assert started == [1, 1]
+    assert reports[0] == reports[1]
 
 
 def test_traced_benchmark_names_still_resolve(tmp_path, monkeypatch):

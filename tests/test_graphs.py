@@ -229,8 +229,9 @@ def test_single_component_for_connected_graph():
 
 def test_components_equal_induced_parts_on_all_small_graphs():
     # a connected graph is returned as its own part; the decomposition must
-    # equal the induced subgraphs of the vertex classes, in smallest-vertex order
-    for n in range(6):
+    # equal the induced subgraphs of the vertex classes, in smallest-vertex
+    # order, and is_connected must say whether there is at most one class
+    for n in range(7):
         for g in enumerate_labeled_graphs(n):
             classes = []
             for v in range(n):
@@ -240,6 +241,7 @@ def test_components_equal_induced_parts_on_all_small_graphs():
             masks = sorted((sum(1 << v for v in c) for c in classes), key=lambda m: m & -m)
             expected = tuple(induced_subgraph(g, m) for m in masks)
             assert components(g).parts == expected, encode_graph6(g)
+            assert is_connected(g) == (len(classes) <= 1), encode_graph6(g)
 
 
 def test_is_connected_basics():

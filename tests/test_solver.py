@@ -22,6 +22,7 @@ from ridom.graphs import (
     cycle_graph,
     disjoint_union,
     encode_graph6,
+    enumerate_labeled_graphs,
     enumerate_nonisomorphic,
     induced_subgraph,
     is_connected,
@@ -439,6 +440,25 @@ def test_constrained_with_everything_fixed():
     assert res is not None and res.witness.labels == (1, 0, 2, 0)
     bad = PartialLabeling(2, (0, 0, 0, 0))
     assert solve_constrained(c4, 2, bad) is None
+
+
+def test_constrained_with_nothing_fixed_is_the_brute_scan():
+    # the same lexicographic scan: same value, lex-min witness and node count
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            for k in (1, 2, 3):
+                free = PartialLabeling(k, (None,) * n)
+                assert solve_constrained(g, k, free) == gamma_brute(g, k), (encode_graph6(g), k)
+
+
+def test_constrained_budget_counts_free_vertices_only():
+    g = path_graph(8)
+    fixed = PartialLabeling(2, (1, 0, 2, 0, 1, None, None, None))
+    res = solve_constrained(g, 2, fixed, SolverBudget(max_labelings=3**3))
+    assert res is not None and res.nodes_explored == 3**3
+    assert res.witness.labels[:5] == (1, 0, 2, 0, 1)
+    with pytest.raises(BudgetExceededError):
+        solve_constrained(g, 2, fixed, SolverBudget(max_labelings=3**3 - 1))
 
 
 def test_constrained_detects_unsatisfiable_anchor():
