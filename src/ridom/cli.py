@@ -4,10 +4,12 @@ Input graphs arrive as graph6 lines (optionally ``>>graph6<<``-headed), as a
 single edge-list file (``n m`` header then ``u v`` lines), or from the
 built-in labeled enumerator.  Every subcommand writes one record line per
 graph followed by a JSON summary line, and identical inputs produce
-byte-identical reports regardless of worker count.  Exit codes: 0 success,
-1 bound violation or oracle mismatch, 2 usage or input error, 130 when
-interrupted (the message ``interrupted`` on stderr, no traceback) and 141
-when the reader of stdout has gone away (nothing more is written; 141 is
+byte-identical reports regardless of worker count.  Record lines wait in a
+temporary file, so memory does not grow with their count, and reach stdout
+or ``--out`` only once the whole stream has succeeded.  Exit codes: 0
+success, 1 bound violation or oracle mismatch, 2 usage or input error, 130
+when interrupted (the message ``interrupted`` on stderr, no traceback) and
+141 when the reader of stdout has gone away (nothing more is written; 141 is
 what a shell reports for a process that SIGPIPE ends).
 
 Each subcommand is a row function, which turns one input graph into its
@@ -34,12 +36,14 @@ import itertools
 import json
 import os
 import random
+import shutil
 import sys
+import tempfile
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import IO, Callable, Iterator, Optional, Sequence
 
 from .families import Family, GraphClass, classify_graph
 from .graphs import (
@@ -201,17 +205,21 @@ def _iter_inputs(cfg: RunConfig) -> Iterator[tuple[int, Optional[str], Graph]]:
             raise InputError(lineno, str(err)) from err
 
 
-def _write_report(cfg: RunConfig, lines: list[str], summary: dict) -> None:
-    """Write the record lines plus the JSON summary line, all at once."""
-    body = "".join(line + "\n" for line in lines) + json.dumps(summary, sort_keys=True) + "\n"
+def _write_report(cfg: RunConfig, spool: IO[str], summary: dict) -> None:
+    """Copy the spooled record lines, then the JSON summary line, to the report:
+    called once the stream has succeeded, so a failed run leaves no report."""
+    spool.seek(0)
+    tail = json.dumps(summary, sort_keys=True) + "\n"
     if cfg.out_path is None:
+        shutil.copyfileobj(spool, sys.stdout)
         # flushed here, so a vanished reader surfaces as an exit code
         # rather than as an error at interpreter shutdown
-        sys.stdout.write(body)
+        sys.stdout.write(tail)
         sys.stdout.flush()
     else:
         with open(cfg.out_path, "w", encoding="ascii") as fh:
-            fh.write(body)
+            shutil.copyfileobj(spool, fh)
+            fh.write(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +274,16 @@ def _stream(
         yield from oldest()
 
 
-def _rows(cfg: RunConfig, row: Callable) -> list:
+def _rows(cfg: RunConfig, row: Callable) -> Iterator:
     """The rows of every input graph, in input order, on ``cfg.workers`` processes."""
     if cfg.workers == 1:
-        return list(_stream(cfg, row, _InlinePool(), window=1))
+        yield from _stream(cfg, row, _InlinePool(), window=1)
+        return
     # the first submit forks every worker, so the pool stops at the CPU count;
     # the window stays 2N, so the seeds and the solver's work do not depend on it
     with ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
         try:
-            return list(_stream(cfg, row, pool, window=2 * cfg.workers))
+            yield from _stream(cfg, row, pool, window=2 * cfg.workers)
         except BaseException:
             # a failed run waits for none of the tasks still in flight
             for proc in pool._processes.values():
@@ -284,11 +293,14 @@ def _rows(cfg: RunConfig, row: Callable) -> list:
 
 def _tally(cfg: RunConfig, row: Callable, names: tuple[str, ...], **head) -> int:
     """Report (line, tallies) rows under ``head``, the record count and each tally's sum."""
-    rows = _rows(cfg, row)
-    summary = {**head, "records": len(rows)}
-    for i, name in enumerate(names):
-        summary[name] = sum(tallies[i] for _, tallies in rows)
-    _write_report(cfg, [line for line, _ in rows], summary)
+    summary = {**head, "records": 0, **dict.fromkeys(names, 0)}
+    with tempfile.TemporaryFile("w+", encoding="ascii") as spool:
+        for line, tallies in _rows(cfg, row):
+            spool.write(line + "\n")
+            summary["records"] += 1
+            for name, tally in zip(names, tallies):
+                summary[name] += tally
+        _write_report(cfg, spool, summary)
     return EXIT_VIOLATION if summary.get("mismatches") else EXIT_OK
 
 
@@ -339,37 +351,43 @@ def _ng_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: 
 
 
 def _cmd_ng(cfg: RunConfig) -> int:
-    records: list[NGRecord] = _rows(cfg, _ng_row)
-    ngreport = report_from_records(records)
-    summary: dict = {
-        "command": "ng",
-        "records": len(records),
-        "counts": dict(sorted(ngreport.counts.items())),
-        "violations": len(ngreport.violations),
-        "extremal_count": len(ngreport.extremal),
-        "min_n": cfg.min_n,
-        "seed": cfg.seed,
-    }
-    if cfg.dedup:
-        try:
-            summary["extremal"] = extremal_ids(records)
-        except UnsupportedSizeError as exc:
-            # the helper's "dedup needs ..." message, under the option's name
-            raise InputError(0, f"--{exc}") from None
-    mismatches = 0
-    if cfg.oracle_check > 0 and records:
-        rng = random.Random(cfg.seed)
-        picks = rng.sample(range(len(records)), min(cfg.oracle_check, len(records)))
-        for idx in sorted(picks):
-            rec = records[idx]
-            g = parse_graph6(rec.graph6)
-            brute = gamma_brute(g, 2, cfg.budget).value
-            brute_comp = gamma_brute(complement(g), 2, cfg.budget).value
-            if (brute, brute_comp) != (rec.gamma, rec.gamma_comp):
-                mismatches += 1
-        summary["oracle_checked"] = len(picks)
-        summary["oracle_mismatches"] = mismatches
-    _write_report(cfg, [rec.to_line() for rec in records], summary)
+    with tempfile.TemporaryFile("w+", encoding="ascii") as spool:
+        def spooled() -> Iterator[NGRecord]:
+            for rec in _rows(cfg, _ng_row):
+                spool.write(rec.to_line() + "\n")
+                yield rec
+        ngreport = report_from_records(spooled())
+        count = ngreport.total
+        summary: dict = {
+            "command": "ng",
+            "records": count,
+            "counts": dict(sorted(ngreport.counts.items())),
+            "violations": len(ngreport.violations),
+            "extremal_count": len(ngreport.extremal),
+            "min_n": cfg.min_n,
+            "seed": cfg.seed,
+        }
+        if cfg.dedup:
+            try:
+                summary["extremal"] = extremal_ids(ngreport.extremal)
+            except UnsupportedSizeError as exc:
+                # the helper's "dedup needs ..." message, under the option's name
+                raise InputError(0, f"--{exc}") from None
+        mismatches = 0
+        if cfg.oracle_check > 0 and count:
+            rng = random.Random(cfg.seed)
+            picks = set(rng.sample(range(count), min(cfg.oracle_check, count)))
+            spool.seek(0)
+            for idx, line in enumerate(spool):
+                if idx in picks:
+                    graph6, _, gamma, gamma_comp, *_ = line.split("\t")
+                    g = parse_graph6(graph6)
+                    brute = gamma_brute(g, 2, cfg.budget).value
+                    brute_comp = gamma_brute(complement(g), 2, cfg.budget).value
+                    mismatches += (brute, brute_comp) != (int(gamma), int(gamma_comp))
+            summary["oracle_checked"] = len(picks)
+            summary["oracle_mismatches"] = mismatches
+        _write_report(cfg, spool, summary)
     return EXIT_VIOLATION if ngreport.violations or mismatches else EXIT_OK
 
 

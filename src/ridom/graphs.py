@@ -113,14 +113,9 @@ class Graph:
         return cls(n, (0,) * n)
 
 
-def complement_rows(g: Graph) -> tuple[int, ...]:
-    """Adjacency rows of the complement, without building a validated ``Graph``."""
-    full = g.full_mask
-    return tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj))
-
-
 def complement(g: Graph) -> Graph:
-    return Graph(g.n, complement_rows(g))
+    full = g.full_mask
+    return Graph(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

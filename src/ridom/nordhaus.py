@@ -18,11 +18,11 @@ from typing import Iterable, Optional
 from .families import is_five_cycle
 from .graphs import (
     CANONICAL_MAX_VERTICES,
+    MAX_VERTICES,
     Graph,
     UnsupportedSizeError,
     canonical_form,
     complement,
-    complement_rows,
     encode_graph6,
     parse_graph6,
 )
@@ -76,13 +76,23 @@ def _status(n: int, c5: bool, total: int) -> str:
     return STATUS_IN_RANGE
 
 
-GammaKey = tuple[int, tuple[int, ...]]
+# a key packs the rows n bits apiece (row v at bit n * v) above 7 bits of n
+GammaKey = int
 GammaCache = dict[GammaKey, int]
+# by n, the key bits that complementing flips: every row bit but the diagonal
+_OFFDIAG = tuple(
+    ((1 << n * n) - 1 ^ sum(1 << (n + 1) * v for v in range(n))) << 7
+    for n in range(MAX_VERTICES + 1)
+)
 
 
 def cache_keys(g: Graph) -> tuple[GammaKey, GammaKey]:
     """The ``GammaCache`` keys of ``g`` and of its complement."""
-    return (g.n, g.adj), (g.n, complement_rows(g))
+    packed = 0
+    for row in reversed(g.adj):
+        packed = packed << g.n | row
+    key = packed << 7 | g.n
+    return key, key ^ _OFFDIAG[g.n]
 
 
 def ng_record(
@@ -154,32 +164,24 @@ def verify_stream(graphs: Iterable[Graph], min_n: int = 0) -> NGReport:
     )
 
 
-def extremal_ids(records: Iterable[NGRecord], dedup: bool = True) -> list[str]:
-    """graph6 ids of the records whose sum attains the ``n + 2`` ceiling.
+def extremal_ids(ids: Iterable[str]) -> list[str]:
+    """The graph6 ``ids`` of ``NGReport.extremal`` up to isomorphism.
 
-    With ``dedup`` (the default) isomorphic repeats collapse onto their first
-    record via the canonical form, which caps the records at 8 vertices
-    (``UnsupportedSizeError``); pass ``dedup=False`` for larger streams.
+    Isomorphic repeats collapse onto their first id via the canonical form,
+    which caps the graphs at 8 vertices (``UnsupportedSizeError``).
     """
-    out: list[str] = []
-    seen: set[bytes] = set()
-    for rec in records:
-        if rec.status != STATUS_AT_UPPER:
-            continue
-        if dedup:
-            if rec.n > CANONICAL_MAX_VERTICES:
-                raise UnsupportedSizeError(
-                    f"dedup needs n <= {CANONICAL_MAX_VERTICES}, got {rec.n}"
-                )
-            key = canonical_form(parse_graph6(rec.graph6))
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(rec.graph6)
-    return out
+    first: dict[bytes, str] = {}
+    for graph6 in ids:
+        g = parse_graph6(graph6)
+        if g.n > CANONICAL_MAX_VERTICES:
+            raise UnsupportedSizeError(f"dedup needs n <= {CANONICAL_MAX_VERTICES}, got {g.n}")
+        first.setdefault(canonical_form(g), graph6)
+    return list(first.values())
 
 
 def collect_extremal(graphs: Iterable[Graph], dedup: bool = True) -> list[str]:
-    """:func:`extremal_ids` of the records of a graph stream, one shared cache."""
+    """Extremal ids of a graph stream, one shared cache; ``dedup=False`` skips
+    :func:`extremal_ids` and its 8-vertex cap."""
     cache: GammaCache = {}
-    return extremal_ids((ng_record(g, cache) for g in graphs), dedup)
+    ids = report_from_records(ng_record(g, cache) for g in graphs).extremal
+    return extremal_ids(ids) if dedup else list(ids)

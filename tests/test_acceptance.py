@@ -29,6 +29,7 @@ from ridom.graphs import (
 from ridom.nordhaus import (
     STATUS_EXCEPTIONAL_C5,
     STATUS_VIOLATION,
+    cache_keys,
     is_five_cycle,
     ng_record,
 )
@@ -62,7 +63,7 @@ def finish(num: int, started: float, budget: float, problems: list, detail: str)
 
 
 def gamma2(g: Graph, cache) -> int:
-    key = (g.n, g.adj)
+    key = cache_keys(g)[0]
     val = cache.get(key)
     if val is None:
         val = gamma_bnb(g, 2).value

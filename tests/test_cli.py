@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end."""
 
 import dataclasses
+import gc
 import importlib
 import importlib.util
 import io
@@ -9,6 +10,7 @@ import os
 import pickle
 import sys
 import time
+import tracemalloc
 from concurrent.futures import Executor
 from pathlib import Path
 
@@ -452,6 +454,37 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "report.tsv"
     assert run(["solve", "--input", src, "--out", str(out_path)]) == 0
     assert out_path.read_text(encoding="ascii") == stdout_text
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_run_writes_no_report(tmp_path, monkeypatch, capsys, workers):
+    # line 1's record is spooled before line 2 fails; none of it comes out
+    monkeypatch.setattr(cli, "NG_CHUNK", 1)
+    out_path = tmp_path / "report.tsv"
+    out_path.write_bytes(b"an earlier report\n")
+    for out in (["--out", str(out_path)], []):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("A_\nBw\n"))
+        assert run(["reduce", "--workers", workers, *out]) == 2
+        assert capsys.readouterr() == ("", "error: input line 2: graph is not bipartite\n")
+    assert out_path.read_bytes() == b"an earlier report\n"
+
+
+def test_report_memory_does_not_grow_with_the_record_count(tmp_path):
+    # --enumerate 6 has 32 times the records of --enumerate 5; each size runs
+    # once untraced first, and earlier tests' garbage is collected, so
+    # neither one-time allocations nor finalizers land inside a peak
+    def peak(n: int) -> int:
+        args = ["codec", "--enumerate", str(n), "--out", str(tmp_path / "report.tsv")]
+        assert run(args) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert run(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(6) < 2 * peak(5)
 
 
 def test_vanished_reader_exits_141_and_shutdown_stays_quiet(monkeypatch):

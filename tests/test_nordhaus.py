@@ -30,6 +30,7 @@ from ridom.nordhaus import (
     STATUS_IN_RANGE,
     STATUS_VIOLATION,
     NGRecord,
+    cache_keys,
     collect_extremal,
     is_five_cycle,
     ng_record,
@@ -102,6 +103,19 @@ def test_five_cycle_detection():
     assert not is_five_cycle(path_graph(5))
     assert not is_five_cycle(disjoint_union(cycle_graph(5), Graph.empty(1)))
     assert not is_five_cycle(cycle_graph(4))
+
+
+def test_cache_keys_are_distinct_and_mirror_the_complement():
+    # n = 0 and n = 1 included: their graphs have no rows or no edge bits,
+    # so only the vertex count below the rows tells their keys apart
+    seen = set()
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            key, ckey = cache_keys(g)
+            assert ckey == cache_keys(complement(g))[0]
+            assert key not in seen
+            seen.add(key)
+    assert len(seen) == 1 + 1 + 2 + 8 + 64 + 1024
 
 
 # ---------------------------------------------------------------------------
