@@ -1,16 +1,18 @@
 """Command line front end: deterministic TSV reports over graph streams.
 
-Input graphs arrive as graph6 lines (optionally ``>>graph6<<``-headed), as a
-single edge-list file (``n m`` header then ``u v`` lines), or from the
-built-in labeled enumerator.  Every subcommand writes one record line per
-graph followed by a JSON summary line, and identical inputs produce
-byte-identical reports regardless of worker count.  Record lines wait in a
-temporary file, so memory does not grow with their count, and reach stdout
-or ``--out`` only once the whole stream has succeeded.  Exit codes: 0
-success, 1 bound violation or oracle mismatch, 2 usage or input error, 130
-when interrupted (the message ``interrupted`` on stderr, no traceback) and
-141 when the reader of stdout has gone away (nothing more is written; 141 is
-what a shell reports for a process that SIGPIPE ends).
+Input graphs come from ``--input PATH`` or stdin (graph6 lines, optionally
+``>>graph6<<``-headed and read one at a time, or a single edge-list file:
+``n m`` header then ``u v`` lines), from ``--enumerate N`` (every labeled
+graph) or from ``--noniso N`` (one graph per isomorphism class).  Every
+subcommand writes one record line per graph followed by a JSON summary line,
+and identical inputs produce byte-identical reports regardless of worker
+count.  Record lines wait in a temporary file, so memory does not grow with
+their count, and reach stdout or ``--out`` only once the whole stream has
+succeeded.  Exit codes: 0 success, 1 bound violation or oracle mismatch, 2
+usage or input error, 130 when interrupted (the message ``interrupted`` on
+stderr, no traceback) and 141 when the reader of stdout has gone away
+(nothing more is written; 141 is what a shell reports for a process that
+SIGPIPE ends).
 
 Each subcommand is a row function, which turns one input graph into its
 record, plus a summary of the records.  All of them run on one pipeline:
@@ -40,9 +42,9 @@ import shutil
 import sys
 import tempfile
 from collections import OrderedDict, deque
+from contextlib import nullcontext
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Callable, Iterator, Optional, Sequence
 
 from .families import Family, GraphClass, classify_graph
@@ -53,6 +55,7 @@ from .graphs import (
     complement,
     encode_graph6,
     enumerate_labeled_graphs,
+    enumerate_nonisomorphic,
     looks_like_edge_list,
     parse_edge_list,
     parse_graph6,
@@ -110,6 +113,7 @@ class RunConfig:
     workers: int = 1
     input_path: Optional[str] = None
     enumerate_n: Optional[int] = None
+    noniso_n: Optional[int] = None
     out_path: Optional[str] = None
     dedup: bool = False
     seed: int = 0
@@ -132,10 +136,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp: argparse.ArgumentParser, with_k: bool) -> None:
         if with_k:
             sp.add_argument("--k", type=int, default=2, help="number of colors (default 2)")
-        sp.add_argument("--input", dest="input_path", metavar="PATH",
-                        help="graph6 lines or an edge-list file (default: stdin)")
-        sp.add_argument("--enumerate", dest="enumerate_n", type=int, metavar="N",
-                        help="use the built-in labeled enumeration on N vertices")
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--input", dest="input_path", metavar="PATH",
+                            help="graph6 lines or an edge-list file (default: stdin)")
+        source.add_argument("--enumerate", dest="enumerate_n", type=int, metavar="N",
+                            help="use the built-in labeled enumeration on N vertices")
+        source.add_argument("--noniso", dest="noniso_n", type=int, metavar="N",
+                            help="one graph per isomorphism class on N vertices")
         sp.add_argument("--out", dest="out_path", metavar="PATH",
                         help="report destination (default: stdout)")
         sp.add_argument("--workers", type=int, default=1,
@@ -179,30 +186,36 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _iter_inputs(cfg: RunConfig) -> Iterator[tuple[int, Optional[str], Graph]]:
-    """Yield (line number, graph6 text or None, graph) from the configured source."""
-    if cfg.enumerate_n is not None and cfg.input_path is not None:
-        raise InputError(0, "--input and --enumerate are mutually exclusive")
-    if cfg.enumerate_n is not None:
-        for i, g in enumerate(enumerate_labeled_graphs(cfg.enumerate_n), start=1):
+    """Yield (line number, graph6 text or None, graph) from the configured source.
+
+    Input is read a line at a time, unless its first non-blank line is an
+    ``n m`` header: then it is one edge-list graph, read whole."""
+    if cfg.enumerate_n is not None or cfg.noniso_n is not None:
+        graphs = (enumerate_labeled_graphs(cfg.enumerate_n) if cfg.noniso_n is None
+                  else enumerate_nonisomorphic(cfg.noniso_n))
+        for i, g in enumerate(graphs, start=1):
             yield i, None, g
         return
-    text = sys.stdin.read() if cfg.input_path is None else Path(cfg.input_path).read_text("ascii")
-    lines = text.splitlines()
-    first = next((ln for ln in lines if ln.strip() and not ln.strip().startswith(">>graph6<<")), "")
-    if looks_like_edge_list(first):
-        try:
-            yield 1, None, parse_edge_list(text)
-        except ValueError as err:
-            raise InputError(1, str(err)) from err
-        return
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped == ">>graph6<<":
-            continue
-        try:
-            yield lineno, stripped, parse_graph6(stripped)
-        except ValueError as err:
-            raise InputError(lineno, str(err)) from err
+    source = nullcontext(sys.stdin) if cfg.input_path is None else open(cfg.input_path, encoding="ascii")
+    with source as fh:
+        first = True
+        for lineno, raw in enumerate(fh, start=1):
+            stripped = raw.strip()
+            if not stripped:
+                continue
+            if first and looks_like_edge_list(stripped):
+                try:
+                    yield 1, None, parse_edge_list(raw + fh.read())
+                except ValueError as err:
+                    raise InputError(1, str(err)) from err
+                return
+            first = False
+            if stripped == ">>graph6<<":
+                continue
+            try:
+                yield lineno, stripped, parse_graph6(stripped)
+            except ValueError as err:
+                raise InputError(lineno, str(err)) from err
 
 
 def _write_report(cfg: RunConfig, spool: IO[str], summary: dict) -> None:
@@ -429,8 +442,6 @@ def _codec_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cf
 
 
 def _cmd_codec(cfg: RunConfig) -> int:
-    if cfg.roundtrip and cfg.enumerate_n is not None:
-        raise InputError(0, "--roundtrip needs graph6 input lines")
     return _tally(cfg, _codec_row, ("mismatches",), command="codec", roundtrip=cfg.roundtrip)
 
 

@@ -497,7 +497,7 @@ def enumerate_nonisomorphic(n: int, connected: bool = False) -> tuple[Graph, ...
     """
     if connected:
         return tuple(g for g in enumerate_nonisomorphic(n) if is_connected(g))
-    if n > CANONICAL_MAX_VERTICES:
+    if not 0 <= n <= CANONICAL_MAX_VERTICES:
         raise UnsupportedSizeError(
             f"non-isomorphic enumeration caps at {CANONICAL_MAX_VERTICES} vertices"
         )

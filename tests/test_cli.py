@@ -327,15 +327,18 @@ def test_codec_roundtrip_identity(tmp_path, capsys):
 
 
 def test_codec_converts_edge_lists(tmp_path, capsys):
+    # the first non-blank line is the header, so the blank one is skipped
     src = tmp_path / "c4.txt"
-    src.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n", encoding="ascii")
+    src.write_text("\n4 4\n0 1\n1 2\n2 3\n3 0\n", encoding="ascii")
     assert run(["codec", "--input", str(src)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == encode_graph6(cycle_graph(4))
 
 
-def test_codec_roundtrip_needs_graph6(tmp_path):
-    assert run(["codec", "--roundtrip", "--enumerate", "3"]) == 2
+def test_codec_roundtrip_needs_graph6(tmp_path, capsys):
+    for source in ("--enumerate", "--noniso"):
+        assert run(["codec", "--roundtrip", source, "3"]) == 2
+        assert capsys.readouterr() == ("", "error: input line 1: --roundtrip needs graph6 input lines\n")
 
 
 def test_codec_roundtrip_refuses_edge_lists(tmp_path, capsys):
@@ -358,9 +361,16 @@ def test_malformed_line_is_named(tmp_path, capsys):
     assert "line 2" in err and "truncated" in err
 
 
-def test_input_and_enumerate_are_exclusive(tmp_path):
+@pytest.mark.parametrize("first, second", [
+    ("--input", "--enumerate"), ("--input", "--noniso"), ("--enumerate", "--noniso"),
+])
+def test_input_and_enumerate_are_exclusive(tmp_path, capsys, first, second):
     src = write_lines(tmp_path / "in.g6", ["A_"])
-    assert run(["solve", "--input", src, "--enumerate", "3"]) == 2
+    value = {"--input": src, "--enumerate": "3", "--noniso": "3"}
+    assert run(["solve", first, value[first], second, value[second]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {second}: not allowed with argument {first}" in captured.err
 
 
 def test_missing_input_file():
@@ -378,19 +388,22 @@ def test_usage_errors():
 
 @pytest.mark.parametrize("args", [
     ["solve", "--k", "3"], ["classify"], ["reduce", "--k", "2"], ["prism", "--k", "2"],
-    ["codec"], ["codec", "--roundtrip"],
+    ["codec"], ["codec", "--roundtrip"], ["ng", "--noniso", "6"],
 ])
 def test_reports_are_worker_independent_for_every_subcommand(tmp_path, monkeypatch, args):
     # tasks of 7 graphs, so several are in flight at once
     monkeypatch.setattr(cli, "NG_CHUNK", 7)
-    src = write_lines(tmp_path / "in.g6", BIPARTITE_LINES)
+    records = 156
+    if "--noniso" not in args:
+        args = args + ["--input", write_lines(tmp_path / "in.g6", BIPARTITE_LINES)]
+        records = len(BIPARTITE_LINES)
     reports = []
     for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}.tsv"
-        assert run(args + ["--input", src, "--workers", str(workers), "--out", str(out)]) == 0
+        assert run(args + ["--workers", str(workers), "--out", str(out)]) == 0
         reports.append(out.read_text(encoding="ascii"))
     assert reports[0] == reports[1] == reports[2]
-    assert reports[0].count("\n") == len(BIPARTITE_LINES) + 1
+    assert reports[0].count("\n") == records + 1
 
 
 @pytest.mark.parametrize("cpus", [1, None])
@@ -469,20 +482,33 @@ def test_failed_run_writes_no_report(tmp_path, monkeypatch, capsys, workers):
     assert out_path.read_bytes() == b"an earlier report\n"
 
 
-def test_report_memory_does_not_grow_with_the_record_count(tmp_path):
-    # --enumerate 6 has 32 times the records of --enumerate 5; each size runs
-    # once untraced first, and earlier tests' garbage is collected, so
-    # neither one-time allocations nor finalizers land inside a peak
-    def peak(n: int) -> int:
-        args = ["codec", "--enumerate", str(n), "--out", str(tmp_path / "report.tsv")]
+def traced_peak(args: list[str]) -> int:
+    """Python's peak allocation during ``run(args)``.  The run goes once
+    untraced first, and earlier garbage is collected, so neither one-time
+    allocations nor finalizers land inside the peak."""
+    assert run(args) == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
         assert run(args) == 0
-        gc.collect()
-        tracemalloc.start()
-        try:
-            assert run(args) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_memory_does_not_grow_with_the_record_count(tmp_path):
+    # --enumerate 6 has 32 times the records of --enumerate 5
+    def peak(n: int) -> int:
+        return traced_peak(["codec", "--enumerate", str(n), "--out", str(tmp_path / "report.tsv")])
+
+    assert peak(6) < 2 * peak(5)
+
+
+def test_input_memory_does_not_grow_with_the_line_count(tmp_path):
+    # the 32,768 graph6 lines of n=6 against the 1,024 of n=5
+    def peak(n: int) -> int:
+        src = write_lines(tmp_path / f"in{n}.g6", map(encode_graph6, enumerate_labeled_graphs(n)))
+        return traced_peak(["codec", "--input", src, "--out", str(tmp_path / "report.tsv")])
 
     assert peak(6) < 2 * peak(5)
 

@@ -1,25 +1,32 @@
-"""The experiment scripts and the README's library example, run as a user runs them."""
+"""The README's experiments and library example, run as a user runs them."""
 
 import ast
-import runpy
+import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from ridom.cli import run
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def script_main(name: str):
-    return runpy.run_path(str(ROOT / "scripts" / f"{name}.py"), run_name=name)["main"]
+def ng_noniso(n: int, out: Path) -> tuple[list[list[str]], dict]:
+    """``ridom ng --noniso n``: its records split into fields, and its summary."""
+    assert run(["ng", "--noniso", str(n), "--out", str(out)]) == 0
+    *records, summary = out.read_text(encoding="ascii").splitlines()
+    return [line.split("\t") for line in records], json.loads(summary)
 
 
-def test_ng_scan_tabulates_the_window_up_to_six_vertices(capsys):
-    assert script_main("ng_scan")(["--max-n", "6"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "window holds throughout"
-    # n, graphs, at n+2, c5, violations; the seconds column is left out
-    rows = [tuple(int(tok) for tok in line.split()[:5]) for line in lines[1:-1]]
+def test_ng_scan_tabulates_the_window_up_to_six_vertices(tmp_path):
+    # n, graphs, at n+2, c5, violations: one ng summary per order
+    rows = []
+    for n in range(2, 7):
+        _, summary = ng_noniso(n, tmp_path / "ng.tsv")
+        counts = summary["counts"]
+        rows.append((n, summary["records"], counts.get("at_upper", 0),
+                     counts.get("exceptional_c5", 0), summary["violations"]))
     assert rows == [
         (2, 2, 2, 0, 0),
         (3, 4, 4, 0, 0),
@@ -29,32 +36,26 @@ def test_ng_scan_tabulates_the_window_up_to_six_vertices(capsys):
     ]
 
 
-@pytest.mark.parametrize("flags, total, connected", [
-    ((), 71, {"yes": 44, "no": 27}),
-    (("--connected",), 44, {"yes": 44}),
-])
-def test_harvest_extremal_lists_the_ceiling_graphs(capsys, flags, total, connected):
-    assert script_main("harvest_extremal")(["--max-n", "6", *flags]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == f"# {total} ceiling graphs with 2 <= n <= 6\n"
-    header, *rows = (line.split("\t") for line in captured.out.splitlines())
-    assert header[4:6] == ["connected", "family"]
-    assert len(rows) == total
-    assert Counter(row[4] for row in rows) == connected
-    if not flags:
-        families = Counter(row[5] for row in rows)
-        assert families == {"-": 2, "c5": 1, "dstar31": 5, "none": 49, "star": 7, "star+": 7}
+def test_harvest_extremal_lists_the_ceiling_graphs(tmp_path):
+    # ridom ng --noniso $n | awk -F'\t' '$6=="at_upper"{print $1}' | ridom classify
+    ceiling = []
+    for n in range(2, 7):
+        records, _ = ng_noniso(n, tmp_path / "ng.tsv")
+        ceiling += [fields[0] for fields in records if fields[5] == "at_upper"]
+    src = tmp_path / "ceiling.g6"
+    src.write_text("".join(line + "\n" for line in ceiling), encoding="ascii")
+    out = tmp_path / "classify.tsv"
+    assert run(["classify", "--input", str(src), "--out", str(out)]) == 0
+    *records, summary = out.read_text(encoding="ascii").splitlines()
+    assert len(ceiling) == json.loads(summary)["records"] == 71
+    families = Counter(line.split("\t")[2] for line in records)
+    assert families == {"c5": 1, "dstar31": 5, "none": 51, "star": 7, "star+": 7}
 
 
-@pytest.mark.parametrize("name, message", [
-    ("ng_scan", "--max-n must be between 1 and 8"),
-    ("harvest_extremal", "need 1 <= min-n <= max-n <= 8"),
-])
-def test_scripts_refuse_orders_above_the_canonical_cap(capsys, name, message):
-    with pytest.raises(SystemExit) as exc:
-        script_main(name)(["--max-n", "9"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+@pytest.mark.parametrize("n", ["-1", "9"])
+def test_noniso_refuses_orders_outside_the_canonical_range(capsys, n):
+    assert run(["ng", "--noniso", n]) == 2
+    assert capsys.readouterr() == ("", "error: non-isomorphic enumeration caps at 8 vertices\n")
 
 
 def test_readme_library_example_states_true_values():

@@ -359,6 +359,13 @@ def test_connected_nonisomorphic_counts():
     ]
 
 
+@pytest.mark.parametrize("n", [-1, 9])
+@pytest.mark.parametrize("connected", [False, True])
+def test_nonisomorphic_enumeration_refuses_orders_outside_its_range(n, connected):
+    with pytest.raises(UnsupportedSizeError, match="caps at 8 vertices"):
+        enumerate_nonisomorphic(n, connected)
+
+
 def test_nonisomorphic_7_makes_11291_canonical_form_calls(monkeypatch):
     # perfbench/workloads.py checks this total on a traced noniso-7 run: the
     # sum over m < 7 of (classes on m vertices) * 2^m.  A change of the
