@@ -52,10 +52,28 @@ def test_harvest_extremal_lists_the_ceiling_graphs(tmp_path):
     assert families == {"c5": 1, "dstar31": 5, "none": 51, "star": 7, "star+": 7}
 
 
-@pytest.mark.parametrize("n", ["-1", "9"])
-def test_noniso_refuses_orders_outside_the_canonical_range(capsys, n):
-    assert run(["ng", "--noniso", n]) == 2
-    assert capsys.readouterr() == ("", "error: non-isomorphic enumeration caps at 8 vertices\n")
+CAP_ERROR = ("", "error: non-isomorphic enumeration caps at 8 vertices\n")
+
+
+# Both experiments start with ``ridom ng --noniso $n``, so n = 9 is refused
+# there. The ids keep each experiment's earlier ``--max-n`` refusal text.
+@pytest.mark.parametrize("out_name", [
+    pytest.param(None, id="ng_scan---max-n must be between 1 and 8"),
+    pytest.param("ng.tsv", id="harvest_extremal-need 1 <= min-n <= max-n <= 8"),
+])
+def test_scripts_refuse_orders_above_the_canonical_cap(capsys, tmp_path, out_name):
+    argv = ["ng", "--noniso", "9"]
+    if out_name:
+        argv += ["--out", str(tmp_path / out_name)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == CAP_ERROR
+    # a refused harvest leaves no record file for the classify stage
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_noniso_refuses_negative_orders(capsys):
+    assert run(["ng", "--noniso", "-1"]) == 2
+    assert capsys.readouterr() == CAP_ERROR
 
 
 def test_readme_library_example_states_true_values():
