@@ -33,7 +33,7 @@ from .graphs import (
     star_graph,
     star_plus_edge,
 )
-from .nordhaus import NGRecord, NGReport, collect_extremal, ng_record, verify_stream
+from .nordhaus import NGRecord, ng_record
 from .reduction import (
     ReductionInstance,
     ReductionReport,

@@ -47,7 +47,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Optional, Sequence
 
-from .families import Family, GraphClass, classify_graph
+from .families import Family, classify_graph
 from .graphs import (
     Graph,
     UnsupportedSizeError,
@@ -61,13 +61,14 @@ from .graphs import (
     parse_graph6,
 )
 from .nordhaus import (
+    ALL_STATUSES,
+    STATUS_AT_UPPER,
+    STATUS_VIOLATION,
     GammaCache,
     GammaKey,
-    NGRecord,
     cache_keys,
     extremal_ids,
     ng_record,
-    report_from_records,
 )
 from .reduction import bipartition, build_reduction, serialize_instance, verify_reduction
 from .solver import (
@@ -196,7 +197,9 @@ def _iter_inputs(cfg: RunConfig) -> Iterator[tuple[int, Optional[str], Graph]]:
         for i, g in enumerate(graphs, start=1):
             yield i, None, g
         return
-    source = nullcontext(sys.stdin) if cfg.input_path is None else open(cfg.input_path, encoding="ascii")
+    # decoded as stdin is: a stray byte reaches the parser, which names its line
+    source = (nullcontext(sys.stdin) if cfg.input_path is None
+              else open(cfg.input_path, encoding="utf-8", errors="surrogateescape"))
     with source as fh:
         first = True
         for lineno, raw in enumerate(fh, start=1):
@@ -304,8 +307,19 @@ def _rows(cfg: RunConfig, row: Callable) -> Iterator:
             raise
 
 
-def _tally(cfg: RunConfig, row: Callable, names: tuple[str, ...], **head) -> int:
-    """Report (line, tallies) rows under ``head``, the record count and each tally's sum."""
+def _tally(
+    cfg: RunConfig,
+    row: Callable,
+    names: tuple[str, ...],
+    finish: Optional[Callable[[RunConfig, dict, IO[str]], None]] = None,
+    **head,
+) -> int:
+    """Report (line, tallies) rows under ``head``, the record count and each tally's sum.
+
+    ``finish``, when given, completes the summary once the stream has
+    succeeded, and may read the spooled record lines back.  The run fails
+    (exit 1) on any mismatch, violation or oracle mismatch the summary counts.
+    """
     summary = {**head, "records": 0, **dict.fromkeys(names, 0)}
     with tempfile.TemporaryFile("w+", encoding="ascii") as spool:
         for line, tallies in _rows(cfg, row):
@@ -313,8 +327,11 @@ def _tally(cfg: RunConfig, row: Callable, names: tuple[str, ...], **head) -> int
             summary["records"] += 1
             for name, tally in zip(names, tallies):
                 summary[name] += tally
+        if finish is not None:
+            finish(cfg, summary, spool)
         _write_report(cfg, spool, summary)
-    return EXIT_VIOLATION if summary.get("mismatches") else EXIT_OK
+    failed = any(summary.get(name) for name in ("mismatches", "violations", "oracle_mismatches"))
+    return EXIT_VIOLATION if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +339,8 @@ def _tally(cfg: RunConfig, row: Callable, names: tuple[str, ...], **head) -> int
 #
 # A row takes (line number, graph6 line or None, graph, value cache, config)
 # and returns the graph's record: a (report line, tallies) pair for
-# ``_tally``, an ``NGRecord`` for ``ng``.  Rows run in pool workers, so they
-# are module-level functions, and they call the solvers and the codec
-# through this module's globals.
+# ``_tally``.  Rows run in pool workers, so they are module-level functions,
+# and they call the solvers and the codec through this module's globals.
 
 
 def _tsv(*fields: object) -> str:
@@ -347,8 +363,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 
 def _classify_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
-    # below 3 vertices every component is tiny: no family, value n
-    gc = classify_graph(g) if g.n >= 3 else GraphClass(None, True, False, g.n)
+    gc = classify_graph(g)
     family = gc.special[1].family if gc.special is not None else Family.NONE
     line = _tsv(encode_graph6(g), g.n, family.value, _flag(gc.trivially_small),
                 _flag(gc.matches_n_minus_1), "-" if gc.predicted is None else gc.predicted)
@@ -360,48 +375,45 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
 
 def _ng_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
-    return ng_record(g, cache, cfg.budget)
+    rec = ng_record(g, cache, cfg.budget)
+    return rec.to_line(), tuple(rec.status == status for status in ALL_STATUSES)
+
+
+def _ng_finish(cfg: RunConfig, summary: dict, spool: IO[str]) -> None:
+    """Fold the per-status tallies into ``counts``, then read the spooled
+    records back for ``--dedup`` and ``--oracle-check``."""
+    counts = {status: summary.pop(status) for status in ALL_STATUSES}
+    summary["counts"] = {status: c for status, c in sorted(counts.items()) if c}
+    summary["violations"] = counts[STATUS_VIOLATION]
+    summary["extremal_count"] = counts[STATUS_AT_UPPER]
+    if cfg.dedup:
+        spool.seek(0)
+        at_upper = (line.split("\t", 1)[0] for line in spool
+                    if line.endswith(f"\t{STATUS_AT_UPPER}\n"))
+        try:
+            summary["extremal"] = extremal_ids(at_upper)
+        except UnsupportedSizeError as exc:
+            # the helper's "dedup needs ..." message, under the option's name
+            raise InputError(0, f"--{exc}") from None
+    count = summary["records"]
+    if cfg.oracle_check > 0 and count:
+        rng = random.Random(cfg.seed)
+        picks = set(rng.sample(range(count), min(cfg.oracle_check, count)))
+        mismatches = 0
+        spool.seek(0)
+        for idx, line in enumerate(spool):
+            if idx in picks:
+                graph6, _, gamma, gamma_comp, *_ = line.split("\t")
+                g = parse_graph6(graph6)
+                brute = gamma_brute(g, 2, cfg.budget).value
+                brute_comp = gamma_brute(complement(g), 2, cfg.budget).value
+                mismatches += (brute, brute_comp) != (int(gamma), int(gamma_comp))
+        summary["oracle_checked"] = len(picks)
+        summary["oracle_mismatches"] = mismatches
 
 
 def _cmd_ng(cfg: RunConfig) -> int:
-    with tempfile.TemporaryFile("w+", encoding="ascii") as spool:
-        def spooled() -> Iterator[NGRecord]:
-            for rec in _rows(cfg, _ng_row):
-                spool.write(rec.to_line() + "\n")
-                yield rec
-        ngreport = report_from_records(spooled())
-        count = ngreport.total
-        summary: dict = {
-            "command": "ng",
-            "records": count,
-            "counts": dict(sorted(ngreport.counts.items())),
-            "violations": len(ngreport.violations),
-            "extremal_count": len(ngreport.extremal),
-            "min_n": cfg.min_n,
-            "seed": cfg.seed,
-        }
-        if cfg.dedup:
-            try:
-                summary["extremal"] = extremal_ids(ngreport.extremal)
-            except UnsupportedSizeError as exc:
-                # the helper's "dedup needs ..." message, under the option's name
-                raise InputError(0, f"--{exc}") from None
-        mismatches = 0
-        if cfg.oracle_check > 0 and count:
-            rng = random.Random(cfg.seed)
-            picks = set(rng.sample(range(count), min(cfg.oracle_check, count)))
-            spool.seek(0)
-            for idx, line in enumerate(spool):
-                if idx in picks:
-                    graph6, _, gamma, gamma_comp, *_ = line.split("\t")
-                    g = parse_graph6(graph6)
-                    brute = gamma_brute(g, 2, cfg.budget).value
-                    brute_comp = gamma_brute(complement(g), 2, cfg.budget).value
-                    mismatches += (brute, brute_comp) != (int(gamma), int(gamma_comp))
-            summary["oracle_checked"] = len(picks)
-            summary["oracle_mismatches"] = mismatches
-        _write_report(cfg, spool, summary)
-    return EXIT_VIOLATION if ngreport.violations or mismatches else EXIT_OK
+    return _tally(cfg, _ng_row, ALL_STATUSES, _ng_finish, command="ng", min_n=cfg.min_n, seed=cfg.seed)
 
 
 def _reduce_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):

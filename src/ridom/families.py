@@ -112,8 +112,7 @@ class GraphClass:
 
 
 def classify_graph(g: Graph) -> GraphClass:
-    if g.n < 3:
-        raise ValueError(f"graph classification needs n >= 3, got n = {g.n}")
+    """Classify ``g`` of any order; below 3 vertices every component is tiny."""
     parts = components(g).parts
     trivial = all(part.n <= 2 for part, _ in parts)
     big = [(idx, part) for idx, (part, _) in enumerate(parts) if part.n >= 3]
@@ -137,5 +136,4 @@ def predict_gamma_ri2(g: Graph) -> Optional[int]:
     Returns ``n`` for all-tiny-component graphs, ``n - 1`` when the graph
     matches the extremal shape, and None otherwise.
     """
-    # below 3 vertices every component is tiny
-    return g.n if g.n < 3 else classify_graph(g).predicted
+    return classify_graph(g).predicted

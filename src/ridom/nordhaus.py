@@ -4,14 +4,14 @@ For a graph of order ``n >= 3`` that is not the 5-cycle, the value on the
 graph plus the value on its complement lies in ``[5, n + 2]``; the 5-cycle is
 self-complementary and alone attains ``n + 3``.  At ``n = 2`` only the upper
 bound applies, and 0- or 1-vertex graphs are unconstrained.  This module
-computes exact sums with the branch-and-bound solver and classifies every
-record against the applicable bounds, so a scan over a graph stream either
+computes one graph's exact sum with the branch-and-bound solver, classifies
+the record against the applicable bounds, and collapses graph6 ids up to
+isomorphism.  ``ridom ng`` runs it over a graph stream, so a scan either
 certifies the window or surfaces concrete counterexamples.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -124,51 +124,12 @@ def ng_record(
     )
 
 
-@dataclass(frozen=True)
-class NGReport:
-    counts: dict[str, int]
-    violations: tuple[NGRecord, ...]
-    extremal: tuple[str, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def report_from_records(records: Iterable[NGRecord]) -> NGReport:
-    counts: Counter[str] = Counter()
-    violations = []
-    extremal = []
-    for rec in records:
-        counts[rec.status] += 1
-        if rec.status == STATUS_VIOLATION:
-            violations.append(rec)
-        if rec.status == STATUS_AT_UPPER:
-            extremal.append(rec.graph6)
-    return NGReport(dict(counts), tuple(violations), tuple(extremal))
-
-
-def verify_stream(graphs: Iterable[Graph], min_n: int = 0) -> NGReport:
-    """Classify every stream graph of order at least ``min_n``.
-
-    Smaller graphs are skipped rather than recorded.  A shared value cache
-    makes complement pairs inside the stream cost one solve each.
-    """
-    cache: GammaCache = {}
-    return report_from_records(
-        ng_record(g, cache) for g in graphs if g.n >= min_n
-    )
-
-
 def extremal_ids(ids: Iterable[str]) -> list[str]:
-    """The graph6 ``ids`` of ``NGReport.extremal`` up to isomorphism.
+    """The graph6 ``ids`` (at-upper records, say) up to isomorphism.
 
     Isomorphic repeats collapse onto their first id via the canonical form,
-    which caps the graphs at 8 vertices (``UnsupportedSizeError``).
+    which caps the graphs at 8 vertices (``UnsupportedSizeError``).  Only one
+    id per class is held, so ``ids`` may be a stream of any length.
     """
     first: dict[bytes, str] = {}
     for graph6 in ids:
@@ -177,11 +138,3 @@ def extremal_ids(ids: Iterable[str]) -> list[str]:
             raise UnsupportedSizeError(f"dedup needs n <= {CANONICAL_MAX_VERTICES}, got {g.n}")
         first.setdefault(canonical_form(g), graph6)
     return list(first.values())
-
-
-def collect_extremal(graphs: Iterable[Graph], dedup: bool = True) -> list[str]:
-    """Extremal ids of a graph stream, one shared cache; ``dedup=False`` skips
-    :func:`extremal_ids` and its 8-vertex cap."""
-    cache: GammaCache = {}
-    ids = report_from_records(ng_record(g, cache) for g in graphs).extremal
-    return extremal_ids(ids) if dedup else list(ids)

@@ -512,49 +512,36 @@ def _closed_neighborhoods(g: Graph) -> list[int]:
     return [row | 1 << v for v, row in enumerate(g.adj)]
 
 
-def independent_domination(g: Graph, budget: SolverBudget | None = None) -> SetResult:
-    """Smallest independent dominating set, by increasing-size subset scan."""
+def _smallest_dominating(g: Graph, budget: SolverBudget | None, independent: bool) -> SetResult:
+    """Smallest dominating set, independent when asked, by increasing-size subset scan."""
     budget = budget or DEFAULT_BUDGET
     _check_subset_budget(g.n, budget)
     closed = _closed_neighborhoods(g)
-    full = g.full_mask
     examined = 0
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             examined += 1
             mask = 0
             cover = 0
-            independent = True
             for v in combo:
-                if g.adj[v] & mask:
-                    independent = False
+                if independent and g.adj[v] & mask:
                     break
                 mask |= 1 << v
                 cover |= closed[v]
-            if independent and cover == full:
-                return SetResult(size, mask, examined, "enum")
+            else:
+                if cover == g.full_mask:
+                    return SetResult(size, mask, examined, "enum")
     raise AssertionError("a maximal independent set always dominates")
+
+
+def independent_domination(g: Graph, budget: SolverBudget | None = None) -> SetResult:
+    """Smallest independent dominating set, by increasing-size subset scan."""
+    return _smallest_dominating(g, budget, independent=True)
 
 
 def domination_number(g: Graph, budget: SolverBudget | None = None) -> SetResult:
     """Smallest dominating set, by increasing-size subset scan."""
-    budget = budget or DEFAULT_BUDGET
-    _check_subset_budget(g.n, budget)
-    closed = _closed_neighborhoods(g)
-    full = g.full_mask
-    examined = 0
-    for size in range(g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            examined += 1
-            cover = 0
-            for v in combo:
-                cover |= closed[v]
-            if cover == full:
-                mask = 0
-                for v in combo:
-                    mask |= 1 << v
-                return SetResult(size, mask, examined, "enum")
-    raise AssertionError("the full vertex set always dominates")
+    return _smallest_dominating(g, budget, independent=False)
 
 
 def is_independent_dominating(g: Graph, mask: int) -> bool:

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pickle
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -25,7 +26,7 @@ from ridom.graphs import (
     path_graph,
     star_graph,
 )
-from ridom.nordhaus import ng_record
+from ridom.nordhaus import NGRecord, ng_record
 from ridom.reduction import bipartition
 
 # the 41 bipartite labeled graphs on 4 vertices and a few larger ones
@@ -110,13 +111,13 @@ def test_classify_unrecognized_graph_has_no_prediction(tmp_path, capsys):
 
 
 def test_classify_decomposes_each_graph_once(tmp_path, monkeypatch, capsys):
-    # one decomposition per graph of order >= 3, none below
+    # one decomposition per graph, those below 3 vertices included
     calls = []
     decompose = families.components
     monkeypatch.setattr(families, "components", lambda g: calls.append(g) or decompose(g))
     lines = [encode_graph6(g) for n in range(5) for g in enumerate_labeled_graphs(n)]
     assert run(["classify", "--input", write_lines(tmp_path / "in.g6", lines)]) == 0
-    assert len(calls) == 8 + 64
+    assert len(calls) == 1 + 1 + 2 + 8 + 64
     assert last_json(capsys.readouterr().out)["records"] == 1 + 1 + 2 + 8 + 64
 
 
@@ -224,6 +225,25 @@ def test_ng_oracle_check_catches_either_wrong_value(tmp_path, capsys, monkeypatc
     assert summary["violations"] == 0
     assert summary["oracle_checked"] == 3
     assert summary["oracle_mismatches"] == 1
+
+
+def test_ng_violation_fails_the_run(tmp_path, capsys, monkeypatch):
+    # records that no solver would give: two at the ceiling, one violation
+    fake = {rec.graph6: rec for rec in (
+        NGRecord("Bw", 3, 2, 3, 5, "at_upper"),
+        NGRecord("B?", 3, 3, 2, 5, "at_upper"),
+        NGRecord("DqK", 5, 4, 5, 9, "violation"),
+    )}
+    monkeypatch.setattr(cli, "ng_record", lambda g, *rest: fake[encode_graph6(g)])
+    src = write_lines(tmp_path / "in.g6", list(fake))
+    assert run(["ng", "--input", src, "--workers", "1", "--dedup"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[:3] == [rec.to_line() for rec in fake.values()]
+    summary = last_json(out)
+    assert '"violations": 1' in out
+    assert summary["counts"] == {"at_upper": 2, "violation": 1}
+    assert summary["extremal_count"] == 2
+    assert summary["extremal"] == ["Bw", "B?"]
 
 
 def test_ng_budget_refusal(tmp_path):
@@ -511,6 +531,29 @@ def test_input_memory_does_not_grow_with_the_line_count(tmp_path):
         return traced_peak(["codec", "--input", src, "--out", str(tmp_path / "report.tsv")])
 
     assert peak(6) < 2 * peak(5)
+
+
+def test_ng_memory_does_not_grow_with_the_line_count(tmp_path):
+    # every line is at the ceiling, so a summary that kept their ids would grow
+    def peak(lines: int) -> int:
+        src = write_lines(tmp_path / f"in{lines}.g6", ["Bw"] * lines)
+        return traced_peak(["ng", "--input", src, "--out", str(tmp_path / "report.tsv")])
+
+    assert peak(20_000) < 2 * peak(1_000)
+
+
+def test_non_ascii_input_names_its_line_and_byte(tmp_path):
+    data = b"A_\nB\xc3\xa9\n"
+    src = tmp_path / "in.g6"
+    src.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    command = [sys.executable, "-m", "ridom.cli", "codec"]
+    from_file = subprocess.run([*command, "--input", str(src)], capture_output=True, env=env)
+    from_stdin = subprocess.run(command, input=data, capture_output=True, env=env)
+    for proc in (from_file, from_stdin):
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: input line 2: byte 1:"), proc.stderr
 
 
 def test_vanished_reader_exits_141_and_shutdown_stays_quiet(monkeypatch):

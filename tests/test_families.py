@@ -8,6 +8,7 @@ from gtools import extremal_family_members
 from ridom.families import (
     Family,
     FamilyTag,
+    GraphClass,
     classify_connected,
     classify_graph,
     is_trivial_components,
@@ -21,6 +22,7 @@ from ridom.graphs import (
     disjoint_union,
     double_star,
     encode_graph6,
+    enumerate_labeled_graphs,
     enumerate_nonisomorphic,
     path_graph,
     relabel,
@@ -123,9 +125,11 @@ def test_two_large_components_never_match():
     assert not classify_graph(g).matches_n_minus_1
 
 
-def test_classify_graph_rejects_tiny_input():
-    with pytest.raises(ValueError):
-        classify_graph(complete_graph(2))
+def test_classify_graph_answers_tiny_input():
+    # below 3 vertices every component is tiny: no family, value n
+    for n in range(3):
+        for g in enumerate_labeled_graphs(n):
+            assert classify_graph(g) == GraphClass(None, True, False, n), g
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Tests for the complement-sum window verifier."""
 
-import pytest
+import io
+import json
+import sys
+
 from hypothesis import given, settings
 
 from gtools import graphs
 from ridom import nordhaus
+from ridom.cli import run
 from ridom.graphs import (
     Graph,
-    UnsupportedSizeError,
     canonical_form,
     complement,
     complete_graph,
@@ -29,13 +32,9 @@ from ridom.nordhaus import (
     STATUS_EXCEPTIONAL_C5,
     STATUS_IN_RANGE,
     STATUS_VIOLATION,
-    NGRecord,
     cache_keys,
-    collect_extremal,
     is_five_cycle,
     ng_record,
-    report_from_records,
-    verify_stream,
 )
 from ridom.solver import gamma_bnb
 
@@ -119,42 +118,54 @@ def test_cache_keys_are_distinct_and_mirror_the_complement():
 
 
 # ---------------------------------------------------------------------------
-# stream verification
+# stream verification, through ``ridom ng``
 # ---------------------------------------------------------------------------
 
-def test_all_four_vertex_graphs_respect_the_window():
-    report = verify_stream(enumerate_labeled_graphs(4))
-    assert report.total == 64
-    assert report.ok
-    assert report.counts.get(STATUS_VIOLATION, 0) == 0
+def run_ng(monkeypatch, capsys, *args, graphs=()):
+    """``ridom ng`` with ``graphs`` on stdin: exit code, record fields, summary."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(encode_graph6(g) + "\n" for g in graphs)))
+    code = run(["ng", *args])
+    *lines, summary = capsys.readouterr().out.splitlines()
+    return code, [line.split("\t") for line in lines], json.loads(summary)
 
 
-def test_five_vertex_stream_finds_twelve_five_cycles():
-    report = verify_stream(enumerate_labeled_graphs(5))
-    assert report.total == 1024
-    assert report.ok
-    assert report.counts[STATUS_EXCEPTIONAL_C5] == 12
+def test_all_four_vertex_graphs_respect_the_window(monkeypatch, capsys):
+    code, _, summary = run_ng(monkeypatch, capsys, "--enumerate", "4")
+    assert code == 0
+    assert summary["records"] == 64
+    assert summary["violations"] == 0
+    assert STATUS_VIOLATION not in summary["counts"]
 
 
-def test_empty_stream_gives_empty_report():
-    report = verify_stream(iter(()))
-    assert report.total == 0
-    assert report.ok
-    assert report.counts == {}
-    assert report.extremal == ()
+def test_five_vertex_stream_finds_twelve_five_cycles(monkeypatch, capsys):
+    code, _, summary = run_ng(monkeypatch, capsys, "--enumerate", "5")
+    assert code == 0
+    assert summary["records"] == 1024
+    assert summary["violations"] == 0
+    assert summary["counts"][STATUS_EXCEPTIONAL_C5] == 12
 
 
-def test_min_n_skips_rather_than_records():
+def test_empty_stream_gives_empty_report(monkeypatch, capsys):
+    code, records, summary = run_ng(monkeypatch, capsys, "--dedup")
+    assert code == 0
+    assert records == []
+    assert summary["records"] == 0
+    assert summary["counts"] == {}
+    assert (summary["violations"], summary["extremal_count"], summary["extremal"]) == (0, 0, [])
+
+
+def test_min_n_skips_rather_than_records(monkeypatch, capsys):
     stream = [Graph.empty(1), complete_graph(3), complete_graph(2)]
-    report = verify_stream(stream, min_n=3)
-    assert report.total == 1
-    assert report.counts == {STATUS_AT_UPPER: 1}
+    _, records, summary = run_ng(monkeypatch, capsys, "--min-n", "3", graphs=stream)
+    assert [rec[0] for rec in records] == [encode_graph6(complete_graph(3))]
+    assert summary["records"] == 1
+    assert summary["counts"] == {STATUS_AT_UPPER: 1}
 
 
-def test_below_range_is_never_seen_on_small_graphs():
+def test_below_range_is_never_seen_on_small_graphs(monkeypatch, capsys):
     for n in range(7):
-        report = verify_stream(enumerate_nonisomorphic(n))
-        assert report.counts.get(STATUS_BELOW_RANGE, 0) == 0
+        _, _, summary = run_ng(monkeypatch, capsys, "--noniso", str(n))
+        assert STATUS_BELOW_RANGE not in summary["counts"]
 
 
 @given(graphs(max_n=6))
@@ -163,55 +174,50 @@ def test_sum_is_complement_symmetric(g):
     assert ng_record(g).sum == ng_record(complement(g)).sum
 
 
-def test_report_from_records_wires_violations_and_extremal():
-    fake = [
-        NGRecord("Bw", 3, 2, 3, 5, STATUS_AT_UPPER),
-        NGRecord("B?", 3, 3, 2, 5, STATUS_AT_UPPER),
-        NGRecord("Dbk", 5, 4, 4, 8, STATUS_VIOLATION),
-    ]
-    report = report_from_records(fake)
-    assert not report.ok
-    assert report.extremal == ("Bw", "B?")
-    assert report.violations[0].graph6 == "Dbk"
-
-
 # ---------------------------------------------------------------------------
-# extremal harvesting
+# extremal harvesting, through ``ridom ng --dedup``
 # ---------------------------------------------------------------------------
 
-def test_connected_four_vertex_extremal_harvest():
-    collected = collect_extremal(enumerate_nonisomorphic(4, connected=True))
-    harvested = {canonical_form(parse_graph6(g6)) for g6 in collected}
+def test_connected_four_vertex_extremal_harvest(monkeypatch, capsys):
+    _, _, summary = run_ng(monkeypatch, capsys, "--noniso", "4", "--dedup")
+    harvested = {canonical_form(parse_graph6(g6)) for g6 in summary["extremal"]}
     # the star, the star plus one edge, and the 4-path all attain n + 2
     for want in (star_graph(3), star_plus_edge(3), path_graph(4)):
         assert canonical_form(want) in harvested, encode_graph6(want)
 
 
-def test_balanced_double_star_is_not_extremal():
+def test_balanced_double_star_is_not_extremal(monkeypatch, capsys):
     g = double_star(2, 2)
     rec = ng_record(g)
     assert rec.sum == g.n + 1
-    assert collect_extremal([g]) == []
+    _, _, summary = run_ng(monkeypatch, capsys, "--dedup", graphs=[g])
+    assert (summary["extremal_count"], summary["extremal"]) == (0, [])
 
 
-def test_triangle_is_extremal():
-    assert collect_extremal([complete_graph(3)]) == [encode_graph6(complete_graph(3))]
+def test_triangle_is_extremal(monkeypatch, capsys):
+    _, _, summary = run_ng(monkeypatch, capsys, "--dedup", graphs=[complete_graph(3)])
+    assert summary["extremal"] == [encode_graph6(complete_graph(3))]
 
 
-def test_dedup_collapses_isomorphic_repeats():
+def test_dedup_collapses_isomorphic_repeats(monkeypatch, capsys):
     a = star_graph(3)
     b = relabel(a, [1, 0, 2, 3])
-    assert collect_extremal([a, b]) == [encode_graph6(a)]
-    assert collect_extremal([a, b], dedup=False) == [
-        encode_graph6(a), encode_graph6(b),
+    _, records, summary = run_ng(monkeypatch, capsys, "--dedup", graphs=[a, b])
+    assert summary["extremal"] == [encode_graph6(a)]
+    assert summary["extremal_count"] == 2
+    assert [(rec[0], rec[5]) for rec in records] == [
+        (encode_graph6(a), STATUS_AT_UPPER), (encode_graph6(b), STATUS_AT_UPPER),
     ]
 
 
-def test_dedup_size_cap():
+def test_dedup_size_cap(monkeypatch, capsys):
     big_star = star_graph(8)  # 9 vertices, sum lands on the ceiling
-    with pytest.raises(UnsupportedSizeError):
-        collect_extremal([big_star])
-    assert collect_extremal([big_star], dedup=False) == [encode_graph6(big_star)]
+    _, records, summary = run_ng(monkeypatch, capsys, graphs=[big_star])
+    assert [(rec[0], rec[5]) for rec in records] == [(encode_graph6(big_star), STATUS_AT_UPPER)]
+    assert summary["extremal_count"] == 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(encode_graph6(big_star) + "\n"))
+    assert run(["ng", "--dedup"]) == 2
+    assert capsys.readouterr() == ("", "error: input line 0: --dedup needs n <= 8, got 9\n")
 
 
 # ---------------------------------------------------------------------------
