@@ -14,8 +14,11 @@ stderr, no traceback) and 141 when the reader of stdout has gone away
 (nothing more is written; 141 is what a shell reports for a process that
 SIGPIPE ends).
 
-Each subcommand is a row function, which turns one input graph into its
-record, plus a summary of the records.  All of them run on one pipeline:
+Each subcommand is declared once, on its subparser: a row function, which
+turns one input graph into its record, the tallies its summary sums, the
+options its summary echoes and an optional last step over the spooled
+records.  The parsed arguments are the run's configuration, which rows and
+pool workers receive as they are.  All subcommands run on one pipeline:
 ``--workers N`` streams the input graphs through a process pool in tasks of
 ``NG_CHUNK`` graphs, with at most ``2 * N`` tasks in flight (``--workers 1``
 runs the same tasks inline, one at a time).  The pool never has more
@@ -33,7 +36,6 @@ the same on every run.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
@@ -41,10 +43,10 @@ import random
 import shutil
 import sys
 import tempfile
+from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from collections import OrderedDict, deque
 from contextlib import nullcontext
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Optional, Sequence
 
 from .families import Family, classify_graph
@@ -104,49 +106,45 @@ class InputError(ValueError):
         return InputError, (self.line, self.reason)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    k: int = 2
-    max_labelings: int = SolverBudget().max_labelings
-    max_subsets: int = SolverBudget().max_subsets
-    max_nodes: int = SolverBudget().max_nodes
-    workers: int = 1
-    input_path: Optional[str] = None
-    enumerate_n: Optional[int] = None
-    noniso_n: Optional[int] = None
-    out_path: Optional[str] = None
-    dedup: bool = False
-    seed: int = 0
-    min_n: int = 0
-    oracle_check: int = 0
-    roundtrip: bool = False
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer of at least ``minimum``, else a usage error."""
 
-    @property
-    def budget(self) -> SolverBudget:
-        return SolverBudget(self.max_labelings, self.max_subsets, self.max_nodes)
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="ridom",
         description="exact k-rainbow independent domination toolkit for small graphs",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    count = _at_least(0)
 
-    def common(sp: argparse.ArgumentParser, with_k: bool) -> None:
-        if with_k:
-            sp.add_argument("--k", type=int, default=2, help="number of colors (default 2)")
+    def command(name: str, about: str, row: Callable, names: tuple[str, ...] = (),
+                finish: Optional[Callable] = None, head: tuple[str, ...] = (),
+                min_k: Optional[int] = None) -> ArgumentParser:
+        """A subparser with the common options, and its row, tallies and summary head."""
+        sp = sub.add_parser(name, help=about)
+        if min_k is not None:
+            sp.add_argument("--k", type=_at_least(min_k), default=2,
+                            help="number of colors (default 2)")
         source = sp.add_mutually_exclusive_group()
         source.add_argument("--input", dest="input_path", metavar="PATH",
                             help="graph6 lines or an edge-list file (default: stdin)")
-        source.add_argument("--enumerate", dest="enumerate_n", type=int, metavar="N",
+        source.add_argument("--enumerate", dest="enumerate_n", type=count, metavar="N",
                             help="use the built-in labeled enumeration on N vertices")
-        source.add_argument("--noniso", dest="noniso_n", type=int, metavar="N",
+        source.add_argument("--noniso", dest="noniso_n", type=count, metavar="N",
                             help="one graph per isomorphism class on N vertices")
         sp.add_argument("--out", dest="out_path", metavar="PATH",
                         help="report destination (default: stdout)")
-        sp.add_argument("--workers", type=int, default=1,
+        sp.add_argument("--workers", type=_at_least(1), default=1,
                         help="worker processes (capped at the CPU count)")
         sp.add_argument("--budget-labelings", dest="max_labelings", type=int,
                         default=SolverBudget().max_labelings,
@@ -157,36 +155,33 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget-nodes", dest="max_nodes", type=int,
                         default=SolverBudget().max_nodes,
                         help="cap on branch-and-bound nodes per graph")
+        sp.set_defaults(row=row, names=names, finish=finish, head=head, min_n=0)
+        return sp
 
-    common(sub.add_parser("solve", help="labeling value and witness per graph"), True)
-    common(sub.add_parser("classify", help="structural family classification"), False)
-    ng = sub.add_parser("ng", help="complement-sum bound verification")
-    common(ng, False)
+    command("solve", "labeling value and witness per graph", _solve_row, head=("k",), min_k=1)
+    command("classify", "structural family classification", _classify_row,
+            names=("matches_n_minus_1", "trivially_small"))
+    ng = command("ng", "complement-sum bound verification", _ng_row, names=ALL_STATUSES,
+                 finish=_ng_finish, head=("min_n", "seed"))
     ng.add_argument("--min-n", dest="min_n", type=int, default=0,
                     help="skip graphs below this order")
     ng.add_argument("--dedup", action="store_true",
                     help="report extremal graphs up to isomorphism")
-    ng.add_argument("--oracle-check", dest="oracle_check", type=int, default=0,
+    ng.add_argument("--oracle-check", dest="oracle_check", type=count, default=0,
                     help="re-solve this many sampled records with the brute solver")
     ng.add_argument("--seed", type=int, default=0, help="seed for the --oracle-check sample")
-    common(sub.add_parser("reduce", help="build and verify leaf-attachment reductions"), True)
-    common(sub.add_parser("prism", help="cross-check against layered-product domination"), True)
-    codec = sub.add_parser("codec", help="re-encode graphs as graph6")
-    common(codec, False)
+    command("reduce", "build and verify leaf-attachment reductions", _reduce_row,
+            names=("mismatches",), head=("k",), min_k=2)
+    command("prism", "cross-check against layered-product domination", _prism_row,
+            names=("mismatches",), head=("k",), min_k=1)
+    codec = command("codec", "re-encode graphs as graph6", _codec_row,
+                    names=("mismatches",), head=("roundtrip",))
     codec.add_argument("--roundtrip", action="store_true",
                        help="require output lines to equal the graph6 input lines")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{
-        field: getattr(args, field)
-        for field in RunConfig.__dataclass_fields__
-        if hasattr(args, field)
-    })
-
-
-def _iter_inputs(cfg: RunConfig) -> Iterator[tuple[int, Optional[str], Graph]]:
+def _iter_inputs(cfg: Namespace) -> Iterator[tuple[int, Optional[str], Graph]]:
     """Yield (line number, graph6 text or None, graph) from the configured source.
 
     Input is read a line at a time, unless its first non-blank line is an
@@ -221,7 +216,7 @@ def _iter_inputs(cfg: RunConfig) -> Iterator[tuple[int, Optional[str], Graph]]:
                 raise InputError(lineno, str(err)) from err
 
 
-def _write_report(cfg: RunConfig, spool: IO[str], summary: dict) -> None:
+def _write_report(cfg: Namespace, spool: IO[str], summary: dict) -> None:
     """Copy the spooled record lines, then the JSON summary line, to the report:
     called once the stream has succeeded, so a failed run leaves no report."""
     spool.seek(0)
@@ -251,14 +246,12 @@ class _InlinePool:
         return fut
 
 
-def _task(row: Callable, items: list, cache: GammaCache, cfg: RunConfig) -> tuple[list, GammaCache]:
+def _task(items: list, cache: GammaCache, cfg: Namespace) -> tuple[list, GammaCache]:
     """One task: the rows of ``items``, and the value cache they leave behind."""
-    return [row(lineno, text, g, cache, cfg) for lineno, text, g in items], cache
+    return [cfg.row(lineno, text, g, cache, cfg) for lineno, text, g in items], cache
 
 
-def _stream(
-    cfg: RunConfig, row: Callable, pool: ProcessPoolExecutor | _InlinePool, window: int
-) -> Iterator:
+def _stream(cfg: Namespace, pool: ProcessPoolExecutor | _InlinePool, window: int) -> Iterator:
     """Rows of the input stream in order, computed ``NG_CHUNK`` graphs a task.
 
     At most ``window`` tasks are in flight, and a full window waits for its
@@ -285,21 +278,21 @@ def _stream(
             yield from oldest()
         keys = (key for _, _, g in batch for key in cache_keys(g)) if known else ()
         seeds = {key: known[key] for key in keys if key in known}
-        pending.append(pool.submit(_task, row, batch, seeds, cfg))
+        pending.append(pool.submit(_task, batch, seeds, cfg))
     while pending:
         yield from oldest()
 
 
-def _rows(cfg: RunConfig, row: Callable) -> Iterator:
+def _rows(cfg: Namespace) -> Iterator:
     """The rows of every input graph, in input order, on ``cfg.workers`` processes."""
     if cfg.workers == 1:
-        yield from _stream(cfg, row, _InlinePool(), window=1)
+        yield from _stream(cfg, _InlinePool(), window=1)
         return
     # the first submit forks every worker, so the pool stops at the CPU count;
     # the window stays 2N, so the seeds and the solver's work do not depend on it
     with ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
         try:
-            yield from _stream(cfg, row, pool, window=2 * cfg.workers)
+            yield from _stream(cfg, pool, window=2 * cfg.workers)
         except BaseException:
             # a failed run waits for none of the tasks still in flight
             for proc in pool._processes.values():
@@ -307,28 +300,29 @@ def _rows(cfg: RunConfig, row: Callable) -> Iterator:
             raise
 
 
-def _tally(
-    cfg: RunConfig,
-    row: Callable,
-    names: tuple[str, ...],
-    finish: Optional[Callable[[RunConfig, dict, IO[str]], None]] = None,
-    **head,
-) -> int:
-    """Report (line, tallies) rows under ``head``, the record count and each tally's sum.
+def _tally(cfg: Namespace) -> int:
+    """Report the rows of ``cfg.row`` under one summary line.
 
-    ``finish``, when given, completes the summary once the stream has
+    The summary holds the command, the options named in ``cfg.head``, the
+    record count and the sum of each tally named in ``cfg.names``.
+    ``cfg.finish``, when set, completes the summary once the stream has
     succeeded, and may read the spooled record lines back.  The run fails
     (exit 1) on any mismatch, violation or oracle mismatch the summary counts.
     """
-    summary = {**head, "records": 0, **dict.fromkeys(names, 0)}
+    summary = {
+        "command": cfg.subcommand,
+        **{name: getattr(cfg, name) for name in cfg.head},
+        "records": 0,
+        **dict.fromkeys(cfg.names, 0),
+    }
     with tempfile.TemporaryFile("w+", encoding="ascii") as spool:
-        for line, tallies in _rows(cfg, row):
+        for line, tallies in _rows(cfg):
             spool.write(line + "\n")
             summary["records"] += 1
-            for name, tally in zip(names, tallies):
+            for name, tally in zip(cfg.names, tallies):
                 summary[name] += tally
-        if finish is not None:
-            finish(cfg, summary, spool)
+        if cfg.finish is not None:
+            cfg.finish(cfg, summary, spool)
         _write_report(cfg, spool, summary)
     failed = any(summary.get(name) for name in ("mismatches", "violations", "oracle_mismatches"))
     return EXIT_VIOLATION if failed else EXIT_OK
@@ -337,10 +331,11 @@ def _tally(
 # ---------------------------------------------------------------------------
 # subcommands: a row function each, and the summary of its rows
 #
-# A row takes (line number, graph6 line or None, graph, value cache, config)
-# and returns the graph's record: a (report line, tallies) pair for
-# ``_tally``.  Rows run in pool workers, so they are module-level functions,
-# and they call the solvers and the codec through this module's globals.
+# A row takes (line number, graph6 line or None, graph, value cache, parsed
+# arguments) and returns the graph's record: a (report line, tallies) pair
+# for ``_tally``.  Rows run in pool workers, so they are module-level
+# functions, and they call the solvers and the codec through this module's
+# globals.  ``_build_parser`` declares each subcommand with its row.
 
 
 def _tsv(*fields: object) -> str:
@@ -351,18 +346,12 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _solve_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+def _solve_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
     res = gamma_bnb(g, cfg.k, cfg.budget)
     return _tsv(encode_graph6(g), g.n, cfg.k, res.value, res.witness.to_text()), ()
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    if cfg.k < 1:
-        raise InputError(0, "--k must be at least 1")
-    return _tally(cfg, _solve_row, (), command="solve", k=cfg.k)
-
-
-def _classify_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+def _classify_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
     gc = classify_graph(g)
     family = gc.special[1].family if gc.special is not None else Family.NONE
     line = _tsv(encode_graph6(g), g.n, family.value, _flag(gc.trivially_small),
@@ -370,16 +359,12 @@ def _classify_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache,
     return line, (gc.matches_n_minus_1, gc.trivially_small)
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    return _tally(cfg, _classify_row, ("matches_n_minus_1", "trivially_small"), command="classify")
-
-
-def _ng_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+def _ng_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
     rec = ng_record(g, cache, cfg.budget)
     return rec.to_line(), tuple(rec.status == status for status in ALL_STATUSES)
 
 
-def _ng_finish(cfg: RunConfig, summary: dict, spool: IO[str]) -> None:
+def _ng_finish(cfg: Namespace, summary: dict, spool: IO[str]) -> None:
     """Fold the per-status tallies into ``counts``, then read the spooled
     records back for ``--dedup`` and ``--oracle-check``."""
     counts = {status: summary.pop(status) for status in ALL_STATUSES}
@@ -394,7 +379,7 @@ def _ng_finish(cfg: RunConfig, summary: dict, spool: IO[str]) -> None:
             summary["extremal"] = extremal_ids(at_upper)
         except UnsupportedSizeError as exc:
             # the helper's "dedup needs ..." message, under the option's name
-            raise InputError(0, f"--{exc}") from None
+            raise UnsupportedSizeError(f"--{exc}") from None
     count = summary["records"]
     if cfg.oracle_check > 0 and count:
         rng = random.Random(cfg.seed)
@@ -412,11 +397,7 @@ def _ng_finish(cfg: RunConfig, summary: dict, spool: IO[str]) -> None:
         summary["oracle_mismatches"] = mismatches
 
 
-def _cmd_ng(cfg: RunConfig) -> int:
-    return _tally(cfg, _ng_row, ALL_STATUSES, _ng_finish, command="ng", min_n=cfg.min_n, seed=cfg.seed)
-
-
-def _reduce_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+def _reduce_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
     parts = bipartition(g)
     if parts is None:
         raise InputError(lineno, "graph is not bipartite")
@@ -427,60 +408,31 @@ def _reduce_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, c
     return line, (not check.equal,)
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
-    if cfg.k < 2:
-        raise InputError(0, "--k must be at least 2 for the reduction")
-    return _tally(cfg, _reduce_row, ("mismatches",), command="reduce", k=cfg.k)
-
-
-def _prism_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+def _prism_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
     check = prism_check(g, cfg.k, cfg.budget)
     line = _tsv(encode_graph6(g), g.n, cfg.k, check.gamma.value, check.ids.value,
                 _flag(check.equal), _flag(check.lifted_valid))
     return line, (not (check.equal and check.lifted_valid),)
 
 
-def _cmd_prism(cfg: RunConfig) -> int:
-    if cfg.k < 1:
-        raise InputError(0, "--k must be at least 1")
-    return _tally(cfg, _prism_row, ("mismatches",), command="prism", k=cfg.k)
-
-
-def _codec_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: RunConfig):
+def _codec_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
     out = encode_graph6(g)
     if cfg.roundtrip and text is None:
         raise InputError(lineno, "--roundtrip needs graph6 input lines")
     return out, (cfg.roundtrip and out != text.removeprefix(">>graph6<<"),)
 
 
-def _cmd_codec(cfg: RunConfig) -> int:
-    return _tally(cfg, _codec_row, ("mismatches",), command="codec", roundtrip=cfg.roundtrip)
-
-
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "classify": _cmd_classify,
-    "ng": _cmd_ng,
-    "reduce": _cmd_reduce,
-    "prism": _cmd_prism,
-    "codec": _cmd_codec,
-}
-
-
 def run(argv: Sequence[str]) -> int:
-    """Parse arguments, dispatch, and map failures onto exit codes."""
+    """Parse arguments, run the subcommand, and map failures onto exit codes."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return code if code == 0 else EXIT_USAGE
-    cfg = _config_from_args(args)
-    if cfg.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    args.budget = SolverBudget(args.max_labelings, args.max_subsets, args.max_nodes)
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _tally(args)
     except BrokenPipeError:
         # send the unflushed rest to devnull so shutdown does not fail again
         devnull = os.open(os.devnull, os.O_WRONLY)

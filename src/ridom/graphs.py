@@ -274,6 +274,14 @@ def _triangle_pairs(n: int) -> Iterator[tuple[int, int]]:
             yield i, j
 
 
+def _byte_name(ch: str) -> str:
+    """The first input byte of ``ch`` in hex; an undecodable byte arrives as
+    its surrogate escape, U+DC80..U+DCFF."""
+    code = ord(ch)
+    byte = code - 0xDC00 if 0xDC80 <= code <= 0xDCFF else ch.encode("utf-8", "surrogatepass")[0]
+    return f"0x{byte:02x}"
+
+
 def parse_graph6(line: str) -> Graph:
     """Decode one short-form graph6 line (optionally ``>>graph6<<``-prefixed).
 
@@ -291,7 +299,15 @@ def parse_graph6(line: str) -> Graph:
     if head == 126:
         raise Graph6ParseError("long-form vertex counts (n > 62) are unsupported", base)
     if not 63 <= head <= 125:
-        raise Graph6ParseError(f"invalid size byte {text[0]!r}", base)
+        raise Graph6ParseError(f"invalid size byte {_byte_name(text[0])}", base)
+    # the alphabet first: every character before the first bad one is then
+    # a single ASCII byte, so offsets count bytes
+    bitstream = 0
+    for i, ch in enumerate(text[1:]):
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise Graph6ParseError(f"byte {_byte_name(ch)} outside graph6 alphabet", base + 1 + i)
+        bitstream = bitstream << 6 | val
     n = head - 63
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -302,12 +318,6 @@ def parse_graph6(line: str) -> Graph:
         )
     if len(text) - 1 > need:
         raise Graph6ParseError("trailing bytes after bit section", base + 1 + need)
-    bitstream = 0
-    for i, ch in enumerate(text[1:]):
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise Graph6ParseError(f"byte {ch!r} outside graph6 alphabet", base + 1 + i)
-        bitstream = bitstream << 6 | val
     pad = 6 * need - nbits
     if pad and bitstream & ((1 << pad) - 1):
         raise Graph6ParseError("nonzero padding bits", base + need)

@@ -194,7 +194,7 @@ def test_ng_dedup_refuses_graphs_above_the_canonical_cap(tmp_path, capsys):
     assert run(["ng", "--input", src, "--dedup"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: input line 0: --dedup needs n <= 8, got 9\n"
+    assert captured.err == "error: --dedup needs n <= 8, got 9\n"
 
 
 def test_ng_oracle_check_agrees(tmp_path, capsys):
@@ -406,6 +406,61 @@ def test_usage_errors():
     assert run(["solve", "--enumerate", "1", "--seed", "1"]) == 2
 
 
+class UnreadableStdin(io.TextIOBase):
+    def readline(self, *args):
+        raise AssertionError("stdin was read")
+
+    read = readline
+
+
+@pytest.mark.parametrize("args,error", [
+    (["solve", "--k", "0"], "argument --k: must be at least 1"),
+    (["prism", "--k", "0"], "argument --k: must be at least 1"),
+    (["reduce", "--k", "1"], "argument --k: must be at least 2"),
+    (["classify", "--workers", "0"], "argument --workers: must be at least 1"),
+    (["ng", "--oracle-check", "-4"], "argument --oracle-check: must be at least 0"),
+    (["codec", "--enumerate", "-1"], "argument --enumerate: must be at least 0"),
+    (["solve", "--k", "x"], "argument --k: invalid int value: 'x'"),
+])
+def test_out_of_range_options_are_usage_errors(monkeypatch, capsys, args, error):
+    # the parser refuses them, so no input is read and no line is blamed
+    monkeypatch.setattr(sys, "stdin", UnreadableStdin())
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"ridom {args[0]}: error: {error}\n"), err
+    assert "input line" not in err
+
+
+# every option's destination and default, as the parser gives them
+OPTIONS = {
+    "subcommand": None, "input_path": None, "enumerate_n": None, "noniso_n": None,
+    "out_path": None, "workers": 1, "max_labelings": 3**12, "max_subsets": 1 << 24,
+    "max_nodes": 10**8,
+}
+SUBCOMMAND_OPTIONS = {
+    "solve": {"k": 2},
+    "classify": {},
+    "ng": {"min_n": 0, "dedup": False, "oracle_check": 0, "seed": 0},
+    "reduce": {"k": 2},
+    "prism": {"k": 2},
+    "codec": {"roundtrip": False},
+}
+
+
+@pytest.mark.parametrize("sub", list(SUBCOMMAND_OPTIONS))
+def test_option_surface_is_pinned(sub):
+    parsed = vars(cli._build_parser().parse_args([sub]))
+    expected = {**OPTIONS, "subcommand": sub, **SUBCOMMAND_OPTIONS[sub]}
+    # what each subparser's set_defaults adds besides its options: the row,
+    # its tallies, the finish step, the summary head and min_n for the
+    # subcommands without --min-n
+    added = {"row", "names", "finish", "head"} | ({"min_n"} - expected.keys())
+    assert {name: parsed[name] for name in parsed.keys() - added} == expected
+    assert callable(parsed["row"])
+    assert set(parsed["head"]) <= expected.keys()
+
+
 @pytest.mark.parametrize("args", [
     ["solve", "--k", "3"], ["classify"], ["reduce", "--k", "2"], ["prism", "--k", "2"],
     ["codec"], ["codec", "--roundtrip"], ["ng", "--noniso", "6"],
@@ -543,17 +598,22 @@ def test_ng_memory_does_not_grow_with_the_line_count(tmp_path):
 
 
 def test_non_ascii_input_names_its_line_and_byte(tmp_path):
-    data = b"A_\nB\xc3\xa9\n"
-    src = tmp_path / "in.g6"
-    src.write_bytes(data)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     command = [sys.executable, "-m", "ridom.cli", "codec"]
-    from_file = subprocess.run([*command, "--input", str(src)], capture_output=True, env=env)
-    from_stdin = subprocess.run(command, input=data, capture_output=True, env=env)
-    for proc in (from_file, from_stdin):
-        assert proc.returncode == 2
-        assert proc.stdout == b""
-        assert proc.stderr.startswith(b"error: input line 2: byte 1:"), proc.stderr
+    src = tmp_path / "in.g6"
+    for data, error in [
+        (b"A_\nB\xc3\xa9\n", b"input line 2: byte 1: byte 0xc3 outside graph6 alphabet"),
+        (b"A_\nD\xc3\xa9?!\n", b"input line 2: byte 1: byte 0xc3 outside graph6 alphabet"),
+        (b"B\xff\n", b"input line 1: byte 1: byte 0xff outside graph6 alphabet"),
+        (b"\xffB\n", b"input line 1: byte 0: invalid size byte 0xff"),
+    ]:
+        src.write_bytes(data)
+        from_file = subprocess.run([*command, "--input", str(src)], capture_output=True, env=env)
+        from_stdin = subprocess.run(command, input=data, capture_output=True, env=env)
+        for proc in (from_file, from_stdin):
+            assert proc.returncode == 2
+            assert proc.stdout == b""
+            assert proc.stderr == b"error: " + error + b"\n", (data, proc.stderr)
 
 
 def test_vanished_reader_exits_141_and_shutdown_stays_quiet(monkeypatch):

@@ -129,6 +129,10 @@ def test_roundtrip_property(g):
         ("A ", 1, "alphabet"),
         ("A@", 1, "padding"),
         (">>graph6<<A__", 12, "trailing"),
+        # bytes decoded as input files are: é is C3 A9, and 0xff does not decode
+        ("D\u00e9?!", 1, "byte 0xc3 outside graph6 alphabet"),
+        ("B\udcff", 1, "byte 0xff outside graph6 alphabet"),
+        ("\udcffB", 0, "invalid size byte 0xff"),
     ],
 )
 def test_parse_errors_name_the_byte(line, offset, fragment):
