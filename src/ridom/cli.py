@@ -47,12 +47,13 @@ from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from collections import OrderedDict, deque
 from contextlib import nullcontext
 from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import fields
 from typing import IO, Callable, Iterator, Optional, Sequence
 
 from .families import Family, classify_graph
 from .graphs import (
+    CANONICAL_MAX_VERTICES,
     Graph,
-    UnsupportedSizeError,
     canonical_form,  # not called here; perfbench/spans.py traces this name
     complement,
     encode_graph6,
@@ -74,6 +75,7 @@ from .nordhaus import (
 )
 from .reduction import bipartition, build_reduction, serialize_instance, verify_reduction
 from .solver import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     SolverBudget,
     gamma_bnb,
@@ -126,11 +128,18 @@ def _build_parser() -> ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     count = _at_least(0)
+    # each budget option by the SolverBudget field it sets: its flag and help
+    budget_options = {
+        "max_labelings": ("--budget-labelings", "cap on (k+1)^n for enumerative solvers"),
+        "max_subsets": ("--budget-subsets", "cap on 2^n for subset enumeration"),
+        "max_nodes": ("--budget-nodes", "cap on branch-and-bound nodes per graph"),
+    }
 
     def command(name: str, about: str, row: Callable, names: tuple[str, ...] = (),
                 finish: Optional[Callable] = None, head: tuple[str, ...] = (),
-                min_k: Optional[int] = None) -> ArgumentParser:
-        """A subparser with the common options, and its row, tallies and summary head."""
+                min_k: Optional[int] = None, budgets: tuple[str, ...] = ()) -> ArgumentParser:
+        """A subparser with the common options and the budget options its
+        solvers read (``budgets``), and its row, tallies and summary head."""
         sp = sub.add_parser(name, help=about)
         if min_k is not None:
             sp.add_argument("--k", type=_at_least(min_k), default=2,
@@ -146,23 +155,20 @@ def _build_parser() -> ArgumentParser:
                         help="report destination (default: stdout)")
         sp.add_argument("--workers", type=_at_least(1), default=1,
                         help="worker processes (capped at the CPU count)")
-        sp.add_argument("--budget-labelings", dest="max_labelings", type=int,
-                        default=SolverBudget().max_labelings,
-                        help="cap on (k+1)^n for enumerative solvers")
-        sp.add_argument("--budget-subsets", dest="max_subsets", type=int,
-                        default=SolverBudget().max_subsets,
-                        help="cap on 2^n for subset enumeration")
-        sp.add_argument("--budget-nodes", dest="max_nodes", type=int,
-                        default=SolverBudget().max_nodes,
-                        help="cap on branch-and-bound nodes per graph")
+        for dest, (flag, about) in budget_options.items():
+            if dest in budgets:
+                sp.add_argument(flag, dest=dest, type=count,
+                                default=getattr(DEFAULT_BUDGET, dest), help=about)
         sp.set_defaults(row=row, names=names, finish=finish, head=head, min_n=0)
         return sp
 
-    command("solve", "labeling value and witness per graph", _solve_row, head=("k",), min_k=1)
+    command("solve", "labeling value and witness per graph", _solve_row, head=("k",), min_k=1,
+            budgets=("max_nodes",))
     command("classify", "structural family classification", _classify_row,
             names=("matches_n_minus_1", "trivially_small"))
     ng = command("ng", "complement-sum bound verification", _ng_row, names=ALL_STATUSES,
-                 finish=_ng_finish, head=("min_n", "seed"))
+                 finish=_ng_finish, head=("min_n", "seed"),
+                 budgets=("max_labelings", "max_nodes"))
     ng.add_argument("--min-n", dest="min_n", type=int, default=0,
                     help="skip graphs below this order")
     ng.add_argument("--dedup", action="store_true",
@@ -171,9 +177,9 @@ def _build_parser() -> ArgumentParser:
                     help="re-solve this many sampled records with the brute solver")
     ng.add_argument("--seed", type=int, default=0, help="seed for the --oracle-check sample")
     command("reduce", "build and verify leaf-attachment reductions", _reduce_row,
-            names=("mismatches",), head=("k",), min_k=2)
+            names=("mismatches",), head=("k",), min_k=2, budgets=("max_subsets", "max_nodes"))
     command("prism", "cross-check against layered-product domination", _prism_row,
-            names=("mismatches",), head=("k",), min_k=1)
+            names=("mismatches",), head=("k",), min_k=1, budgets=("max_subsets", "max_nodes"))
     codec = command("codec", "re-encode graphs as graph6", _codec_row,
                     names=("mismatches",), head=("roundtrip",))
     codec.add_argument("--roundtrip", action="store_true",
@@ -361,6 +367,9 @@ def _classify_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache,
 
 def _ng_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
     rec = ng_record(g, cache, cfg.budget)
+    if cfg.dedup and rec.status == STATUS_AT_UPPER and g.n > CANONICAL_MAX_VERTICES:
+        # refused here, at its line, rather than after the whole stream
+        raise InputError(lineno, f"--dedup needs n <= {CANONICAL_MAX_VERTICES}, got {g.n}")
     return rec.to_line(), tuple(rec.status == status for status in ALL_STATUSES)
 
 
@@ -375,11 +384,7 @@ def _ng_finish(cfg: Namespace, summary: dict, spool: IO[str]) -> None:
         spool.seek(0)
         at_upper = (line.split("\t", 1)[0] for line in spool
                     if line.endswith(f"\t{STATUS_AT_UPPER}\n"))
-        try:
-            summary["extremal"] = extremal_ids(at_upper)
-        except UnsupportedSizeError as exc:
-            # the helper's "dedup needs ..." message, under the option's name
-            raise UnsupportedSizeError(f"--{exc}") from None
+        summary["extremal"] = extremal_ids(at_upper)
     count = summary["records"]
     if cfg.oracle_check > 0 and count:
         rng = random.Random(cfg.seed)
@@ -430,7 +435,9 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return code if code == 0 else EXIT_USAGE
-    args.budget = SolverBudget(args.max_labelings, args.max_subsets, args.max_nodes)
+    # the budget fields this subcommand declares; the rest keep their defaults
+    args.budget = SolverBudget(**{f.name: getattr(args, f.name)
+                                  for f in fields(SolverBudget) if hasattr(args, f.name)})
     try:
         return _tally(args)
     except BrokenPipeError:

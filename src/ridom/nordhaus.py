@@ -17,10 +17,8 @@ from typing import Iterable, Optional
 
 from .families import is_five_cycle
 from .graphs import (
-    CANONICAL_MAX_VERTICES,
     MAX_VERTICES,
     Graph,
-    UnsupportedSizeError,
     canonical_form,
     complement,
     encode_graph6,
@@ -133,8 +131,5 @@ def extremal_ids(ids: Iterable[str]) -> list[str]:
     """
     first: dict[bytes, str] = {}
     for graph6 in ids:
-        g = parse_graph6(graph6)
-        if g.n > CANONICAL_MAX_VERTICES:
-            raise UnsupportedSizeError(f"dedup needs n <= {CANONICAL_MAX_VERTICES}, got {g.n}")
-        first.setdefault(canonical_form(g), graph6)
+        first.setdefault(canonical_form(parse_graph6(graph6)), graph6)
     return list(first.values())

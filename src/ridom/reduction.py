@@ -14,6 +14,7 @@ argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .graphs import Graph, MAX_VERTICES, UnsupportedSizeError, bits, encode_graph6, parse_graph6
@@ -52,8 +53,10 @@ def bipartition(g: Graph) -> Optional[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ReductionInstance:
-    """A source bipartite graph and its leaf-augmented target.
+    """A source bipartite graph, its parts and ``k``, which fix the target.
 
+    Construction checks that ``k >= 2``, that the part masks are a genuine
+    bipartition of ``source`` and that the target fits the 64-vertex cap.
     ``core_map[v]`` is the target index of source vertex ``v`` and
     ``leaf_map[v]`` the ascending indices of its ``k - 1`` pendant leaves.
     """
@@ -62,47 +65,40 @@ class ReductionInstance:
     x_mask: int
     y_mask: int
     k: int
-    target: Graph
-    core_map: tuple[int, ...]
-    leaf_map: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        g, x, y = self.source, self.x_mask, self.y_mask
+        if self.k < 2:
+            raise ValueError("the reduction needs k >= 2; leaves do not pin labels at k = 1")
+        if x & y or (x | y) != g.full_mask:
+            raise ValueError("parts do not partition the vertex set")
+        for v in range(g.n):
+            side = x if x >> v & 1 else y
+            if g.adj[v] & side:
+                raise ValueError(f"vertex {v} has a neighbor inside its own part")
+        if g.n * self.k > MAX_VERTICES:
+            raise UnsupportedSizeError(f"target has {g.n * self.k} vertices, cap is {MAX_VERTICES}")
+
+    @cached_property
+    def core_map(self) -> tuple[int, ...]:
+        return tuple(range(self.source.n))
+
+    @cached_property
+    def leaf_map(self) -> tuple[tuple[int, ...], ...]:
+        n, spare = self.source.n, self.k - 1
+        return tuple(tuple(range(n + v * spare, n + (v + 1) * spare)) for v in range(n))
+
+    @cached_property
+    def target(self) -> Graph:
+        edges = list(self.source.edges())
+        for v, leaves in enumerate(self.leaf_map):
+            edges.extend((v, leaf) for leaf in leaves)
+        return Graph.from_edges(self.source.n * self.k, edges)
 
 
 def build_reduction(g: Graph, parts: tuple[int, int], k: int) -> ReductionInstance:
-    """Attach ``k - 1`` leaves to every source vertex.
-
-    ``parts`` must be a genuine bipartition of ``g``.  Only ``k >= 2`` makes
-    the leaf argument work, and the target must fit the 64-vertex cap.
-    """
-    if k < 2:
-        raise ValueError("the reduction needs k >= 2; leaves do not pin labels at k = 1")
-    x, y = parts
-    if x & y or (x | y) != g.full_mask:
-        raise ValueError("parts do not partition the vertex set")
-    for v in range(g.n):
-        side = x if x >> v & 1 else y
-        if g.adj[v] & side:
-            raise ValueError(f"vertex {v} has a neighbor inside its own part")
-    target_n = g.n * k
-    if target_n > MAX_VERTICES:
-        raise UnsupportedSizeError(f"target has {target_n} vertices, cap is {MAX_VERTICES}")
-    edges = list(g.edges())
-    core_map = tuple(range(g.n))
-    leaf_map = []
-    next_leaf = g.n
-    for v in range(g.n):
-        leaves = tuple(range(next_leaf, next_leaf + k - 1))
-        next_leaf += k - 1
-        leaf_map.append(leaves)
-        edges.extend((v, leaf) for leaf in leaves)
-    return ReductionInstance(
-        source=g,
-        x_mask=x,
-        y_mask=y,
-        k=k,
-        target=Graph.from_edges(target_n, edges),
-        core_map=core_map,
-        leaf_map=tuple(leaf_map),
-    )
+    """Attach ``k - 1`` leaves to every source vertex of the bipartition ``parts``."""
+    return ReductionInstance(g, *parts, k)
 
 
 def lift_dominating_set(inst: ReductionInstance, dom_mask: int) -> Labeling:
@@ -192,21 +188,16 @@ def serialize_instance(inst: ReductionInstance) -> str:
 
 
 def parse_instance(line: str) -> ReductionInstance:
+    """The instance of a :func:`serialize_instance` line.
+
+    The source, parts and ``k`` rebuild it, and the line must be exactly that
+    instance's serialization: a target or map that disagrees is a ``ValueError``.
+    """
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 7:
         raise ValueError(f"expected 7 tab-separated fields, got {len(fields)}")
-    src_g6, x_hex, y_hex, k_text, tgt_g6, core_text, leaf_text = fields
-    core_map = tuple(int(tok) for tok in core_text.split(",")) if core_text else ()
-    leaf_map = tuple(
-        tuple(int(tok) for tok in group.split(",")) if group else ()
-        for group in leaf_text.split(";")
-    ) if leaf_text else ()
-    return ReductionInstance(
-        source=parse_graph6(src_g6),
-        x_mask=int(x_hex, 16),
-        y_mask=int(y_hex, 16),
-        k=int(k_text),
-        target=parse_graph6(tgt_g6),
-        core_map=core_map,
-        leaf_map=leaf_map,
-    )
+    src_g6, x_hex, y_hex, k_text = fields[:4]
+    inst = ReductionInstance(parse_graph6(src_g6), int(x_hex, 16), int(y_hex, 16), int(k_text))
+    if serialize_instance(inst).split("\t") != fields:
+        raise ValueError("line differs from the reduction of its source, parts and k")
+    return inst

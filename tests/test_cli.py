@@ -194,7 +194,22 @@ def test_ng_dedup_refuses_graphs_above_the_canonical_cap(tmp_path, capsys):
     assert run(["ng", "--input", src, "--dedup"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --dedup needs n <= 8, got 9\n"
+    assert captured.err == "error: input line 1: --dedup needs n <= 8, got 9\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_ng_dedup_refuses_at_the_offending_line(tmp_path, monkeypatch, capsys, workers):
+    # a 9-vertex graph at the ceiling first, then every labeled 5-vertex graph
+    lines = [encode_graph6(star_graph(8))]
+    lines += [encode_graph6(g) for g in enumerate_labeled_graphs(5)]
+    src = write_lines(tmp_path / "in.g6", lines)
+    solved, solve = [], nordhaus.gamma_bnb
+    monkeypatch.setattr(nordhaus, "gamma_bnb", lambda g, *rest, **kw: solved.append(g.n) or solve(g, *rest, **kw))
+    assert run(["ng", "--input", src, "--dedup", "--workers", workers]) == 2
+    assert capsys.readouterr() == ("", "error: input line 1: --dedup needs n <= 8, got 9\n")
+    if workers == "1":
+        # the star and its complement, and no later line
+        assert solved == [9, 9]
 
 
 def test_ng_oracle_check_agrees(tmp_path, capsys):
@@ -421,6 +436,8 @@ class UnreadableStdin(io.TextIOBase):
     (["ng", "--oracle-check", "-4"], "argument --oracle-check: must be at least 0"),
     (["codec", "--enumerate", "-1"], "argument --enumerate: must be at least 0"),
     (["solve", "--k", "x"], "argument --k: invalid int value: 'x'"),
+    (["solve", "--budget-nodes", "-1"], "argument --budget-nodes: must be at least 0"),
+    (["ng", "--budget-labelings", "-1"], "argument --budget-labelings: must be at least 0"),
 ])
 def test_out_of_range_options_are_usage_errors(monkeypatch, capsys, args, error):
     # the parser refuses them, so no input is read and no line is blamed
@@ -432,18 +449,30 @@ def test_out_of_range_options_are_usage_errors(monkeypatch, capsys, args, error)
     assert "input line" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["classify", "--budget-nodes", "5"], ["codec", "--budget-subsets", "1"],
+    ["solve", "--budget-labelings", "1"],
+])
+def test_budgets_a_subcommand_does_not_read_are_refused(monkeypatch, capsys, args):
+    monkeypatch.setattr(sys, "stdin", UnreadableStdin())
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {args[1]}" in err
+
+
 # every option's destination and default, as the parser gives them
 OPTIONS = {
     "subcommand": None, "input_path": None, "enumerate_n": None, "noniso_n": None,
-    "out_path": None, "workers": 1, "max_labelings": 3**12, "max_subsets": 1 << 24,
-    "max_nodes": 10**8,
+    "out_path": None, "workers": 1,
 }
 SUBCOMMAND_OPTIONS = {
-    "solve": {"k": 2},
+    "solve": {"k": 2, "max_nodes": 10**8},
     "classify": {},
-    "ng": {"min_n": 0, "dedup": False, "oracle_check": 0, "seed": 0},
-    "reduce": {"k": 2},
-    "prism": {"k": 2},
+    "ng": {"min_n": 0, "dedup": False, "oracle_check": 0, "seed": 0,
+           "max_labelings": 3**12, "max_nodes": 10**8},
+    "reduce": {"k": 2, "max_subsets": 1 << 24, "max_nodes": 10**8},
+    "prism": {"k": 2, "max_subsets": 1 << 24, "max_nodes": 10**8},
     "codec": {"roundtrip": False},
 }
 

@@ -1,7 +1,11 @@
 """The README's experiments and library example, run as a user runs them."""
 
 import ast
+import io
 import json
+import re
+import shlex
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import pytest
 from ridom.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def ng_noniso(n: int, out: Path) -> tuple[list[list[str]], dict]:
@@ -80,8 +85,7 @@ def test_noniso_refuses_negative_orders(capsys):
 
 
 def test_readme_library_example_states_true_values():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    block = README.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     namespace: dict = {}
     values = []
     for stmt in ast.parse(block).body:
@@ -91,3 +95,26 @@ def test_readme_library_example_states_true_values():
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert namespace["res"].value == 4
     assert values == [[], 4, "exceptional_c5"]
+
+
+def readme_output(command: str) -> list[str]:
+    """The lines the README's command-line block shows after ``$ command``."""
+    block = README.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.split(f"$ {command}\n", 1)[1].split("\n\n", 1)[0].splitlines()
+
+
+@pytest.mark.parametrize("command", ['echo "DqK" | ridom solve --k 2', 'echo "DqK" | ridom classify'])
+def test_readme_cli_examples_print_what_they_show(monkeypatch, capsys, command):
+    echo, ridom = (shlex.split(part) for part in command.split(" | "))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(echo[1] + "\n"))
+    assert run(ridom[1:]) == 0
+    assert capsys.readouterr().out.splitlines() == readme_output(command)
+
+
+def test_readme_ng_example_counts_hold(capsys):
+    command = "ridom ng --enumerate 5 --workers 4"
+    shown = re.search(r'"counts": (\{.*?\})', " ".join(readme_output(command)))
+    assert run(shlex.split(command)[1:]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["counts"] == json.loads(shown[1])
+    assert summary["records"] == 1024 and summary["violations"] == 0

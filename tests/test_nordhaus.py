@@ -217,7 +217,7 @@ def test_dedup_size_cap(monkeypatch, capsys):
     assert summary["extremal_count"] == 1
     monkeypatch.setattr(sys, "stdin", io.StringIO(encode_graph6(big_star) + "\n"))
     assert run(["ng", "--dedup"]) == 2
-    assert capsys.readouterr() == ("", "error: --dedup needs n <= 8, got 9\n")
+    assert capsys.readouterr() == ("", "error: input line 1: --dedup needs n <= 8, got 9\n")
 
 
 # ---------------------------------------------------------------------------

@@ -127,16 +127,21 @@ def test_target_is_always_bipartite():
 def test_build_rejects_k1():
     with pytest.raises(ValueError):
         build_reduction(complete_graph(2), (1, 2), 1)
+    with pytest.raises(ValueError):
+        ReductionInstance(complete_graph(2), 1, 2, 1)
 
 
 def test_build_rejects_bogus_partitions():
     g = path_graph(3)
-    with pytest.raises(ValueError):
-        build_reduction(g, (0b011, 0b110), 2)  # overlap
-    with pytest.raises(ValueError):
-        build_reduction(g, (0b001, 0b010), 2)  # vertex 2 unassigned
-    with pytest.raises(ValueError):
-        build_reduction(g, (0b011, 0b100), 2)  # edge 0-1 inside a part
+    for parts in (
+        (0b011, 0b110),  # overlap
+        (0b001, 0b010),  # vertex 2 unassigned
+        (0b011, 0b100),  # edge 0-1 inside a part
+    ):
+        with pytest.raises(ValueError):
+            build_reduction(g, parts, 2)
+        with pytest.raises(ValueError):
+            ReductionInstance(g, *parts, 2)
 
 
 def test_build_rejects_oversized_targets():
@@ -281,6 +286,22 @@ def test_serialized_line_shape():
     assert fields[0] == encode_graph6(inst.source)
     assert fields[1] == "1" and fields[2] == "2"  # part masks in hex
     assert fields[3] == "2"
+
+
+@pytest.mark.parametrize("edits", [
+    {3: "5"},  # k
+    {1: "f", 2: "0"},  # parts: every vertex in the first
+    {5: "3,2,1,0"},  # core map
+    {6: "4;5;7;6"},  # leaf map
+    {4: encode_graph6(path_graph(8))},  # target
+])
+def test_parse_rejects_inconsistent_lines(edits):
+    fields = serialize_instance(build(cycle_graph(4), 2)).split("\t")
+    assert all(fields[i] != text for i, text in edits.items())
+    for i, text in edits.items():
+        fields[i] = text
+    with pytest.raises(ValueError):
+        parse_instance("\t".join(fields))
 
 
 def test_parse_rejects_wrong_field_count():
