@@ -7,9 +7,8 @@ verifier for the complement-sum bounds, and an executable reduction from
 bipartite domination.
 """
 
-from .families import Family, FamilyTag, GraphClass, classify_connected, classify_graph, is_trivial_components, predict_gamma_ri2
+from .families import Family, GraphClass, classify_connected, classify_graph, predict_gamma_ri2
 from .graphs import (
-    ComponentDecomposition,
     Graph,
     Graph6ParseError,
     UnsupportedSizeError,

@@ -50,7 +50,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import fields
 from typing import IO, Callable, Iterator, Optional, Sequence
 
-from .families import Family, classify_graph
+from .families import classify_graph
 from .graphs import (
     CANONICAL_MAX_VERTICES,
     Graph,
@@ -169,7 +169,7 @@ def _build_parser() -> ArgumentParser:
     ng = command("ng", "complement-sum bound verification", _ng_row, names=ALL_STATUSES,
                  finish=_ng_finish, head=("min_n", "seed"),
                  budgets=("max_labelings", "max_nodes"))
-    ng.add_argument("--min-n", dest="min_n", type=int, default=0,
+    ng.add_argument("--min-n", dest="min_n", type=count, default=0,
                     help="skip graphs below this order")
     ng.add_argument("--dedup", action="store_true",
                     help="report extremal graphs up to isomorphism")
@@ -359,8 +359,7 @@ def _solve_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cf
 
 def _classify_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
     gc = classify_graph(g)
-    family = gc.special[1].family if gc.special is not None else Family.NONE
-    line = _tsv(encode_graph6(g), g.n, family.value, _flag(gc.trivially_small),
+    line = _tsv(encode_graph6(g), g.n, gc.family.value, _flag(gc.trivially_small),
                 _flag(gc.matches_n_minus_1), "-" if gc.predicted is None else gc.predicted)
     return line, (gc.matches_n_minus_1, gc.trivially_small)
 

@@ -25,27 +25,12 @@ class Family(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class FamilyTag:
-    """Recognized family plus the structurally distinguished vertices.
-
-    ``centers`` holds the star center, the two bridge endpoints of a double
-    star (higher-degree center first), or nothing for the 5-cycle.
-    """
-
-    family: Family
-    centers: tuple[int, ...] = ()
-
-
-_NO_FAMILY = FamilyTag(Family.NONE)
-
-
 def is_five_cycle(g: Graph) -> bool:
     """Structural 5-cycle test: 5 vertices, 2-regular (hence one cycle)."""
     return g.n == 5 and all(d == 2 for d in g.degrees())
 
 
-def classify_connected(g: Graph) -> FamilyTag:
+def classify_connected(g: Graph) -> Family:
     """Decide family membership of a connected graph on >= 3 vertices.
 
     The 2-leaf star (the 3-path) counts as a star; the 4-vertex double star
@@ -63,11 +48,11 @@ def classify_connected(g: Graph) -> FamilyTag:
         center = hubs[0]
         rest = sorted(deg[v] for v in range(n) if v != center)
         if rest == [1] * (n - 1):
-            return FamilyTag(Family.STAR, (center,))
+            return Family.STAR
         if rest == [1] * (n - 3) + [2, 2]:
             two_a, two_b = (v for v in range(n) if v != center and deg[v] == 2)
             if g.has_edge(two_a, two_b):
-                return FamilyTag(Family.STAR_PLUS_EDGE, (center,))
+                return Family.STAR_PLUS_EDGE
 
     if n >= 4:
         internal = [v for v in range(n) if deg[v] >= 2]
@@ -76,58 +61,46 @@ def classify_connected(g: Graph) -> FamilyTag:
             and sorted(deg[v] for v in internal) == sorted((2, n - 2))
             and g.has_edge(*internal)
         ):
-            big, small = sorted(internal, key=lambda v: (-deg[v], v))
-            return FamilyTag(Family.DOUBLE_STAR_31, (big, small))
+            return Family.DOUBLE_STAR_31
 
-    if is_five_cycle(g):
-        return FamilyTag(Family.C5)
-
-    return _NO_FAMILY
-
-
-def is_trivial_components(g: Graph) -> bool:
-    """True when every connected component has at most 2 vertices.
-
-    Exactly these graphs have 2-rainbow value equal to their order, and the
-    empty graph qualifies vacuously.
-    """
-    return all(size <= 2 for size in components(g).sizes())
+    return Family.C5 if is_five_cycle(g) else Family.NONE
 
 
 @dataclass(frozen=True)
 class GraphClass:
     """Classification of a possibly disconnected graph.
 
-    ``matches_n_minus_1`` is the structural condition for value ``n - 1``:
-    exactly one component of order >= 3, carrying a family tag, with every
-    other component a single vertex or a single edge.  ``predicted`` is the
-    structure-only 2-rainbow value: ``n`` when every component has at most
-    2 vertices, ``n - 1`` on a match, None otherwise.
+    ``family`` is the family of the graph's only component of order >= 3;
+    it is ``Family.NONE`` when that component is in no family, or when the
+    graph has zero or several such components.  ``trivially_small`` says
+    every component has at most 2 vertices (the empty graph vacuously);
+    exactly these graphs have 2-rainbow value equal to their order.
     """
 
-    special: Optional[tuple[int, FamilyTag]]
+    n: int
+    family: Family
     trivially_small: bool
-    matches_n_minus_1: bool
-    predicted: Optional[int]
+
+    @property
+    def matches_n_minus_1(self) -> bool:
+        """The structural condition for value ``n - 1``: exactly one
+        component of order >= 3, in a family, with every other component a
+        single vertex or a single edge."""
+        return self.family is not Family.NONE
+
+    @property
+    def predicted(self) -> Optional[int]:
+        """The structure-only 2-rainbow value: ``n`` when every component has
+        at most 2 vertices, ``n - 1`` on a match, None otherwise."""
+        if self.trivially_small:
+            return self.n
+        return self.n - 1 if self.matches_n_minus_1 else None
 
 
 def classify_graph(g: Graph) -> GraphClass:
     """Classify ``g`` of any order; below 3 vertices every component is tiny."""
-    parts = components(g).parts
-    trivial = all(part.n <= 2 for part, _ in parts)
-    big = [(idx, part) for idx, (part, _) in enumerate(parts) if part.n >= 3]
-    special: Optional[tuple[int, FamilyTag]] = None
-    if len(big) == 1:
-        idx, part = big[0]
-        tag = classify_connected(part)
-        if tag.family is not Family.NONE:
-            special = (idx, tag)
-    return GraphClass(
-        special=special,
-        trivially_small=trivial,
-        matches_n_minus_1=special is not None,
-        predicted=g.n if trivial else g.n - 1 if special is not None else None,
-    )
+    big = [part for part, _ in components(g) if part.n >= 3]
+    return GraphClass(g.n, classify_connected(big[0]) if len(big) == 1 else Family.NONE, not big)
 
 
 def predict_gamma_ri2(g: Graph) -> Optional[int]:

@@ -155,18 +155,11 @@ def induced_subgraph(g: Graph, vertex_mask: int) -> tuple[Graph, tuple[int, ...]
     return Graph(len(vmap), tuple(rows)), vmap
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    """Connected components as (subgraph, original-index map) pairs."""
+def components(g: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
+    """Split ``g`` into connected components, ordered by smallest vertex.
 
-    parts: tuple[tuple[Graph, tuple[int, ...]], ...]
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(part.n for part, _ in self.parts)
-
-
-def components(g: Graph) -> ComponentDecomposition:
-    """Split ``g`` into connected components, ordered by smallest vertex."""
+    Each component is a (subgraph, original-index map) pair.
+    """
     remaining = g.full_mask
     parts = []
     while remaining:
@@ -181,14 +174,14 @@ def components(g: Graph) -> ComponentDecomposition:
             comp |= grow
         if comp == g.full_mask:
             # connected: the graph is its own single part, already validated
-            return ComponentDecomposition(((g, tuple(range(g.n))),))
+            return ((g, tuple(range(g.n))),)
         parts.append(induced_subgraph(g, comp))
         remaining &= ~comp
-    return ComponentDecomposition(tuple(parts))
+    return tuple(parts)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g).parts) <= 1
+    return len(components(g)) <= 1
 
 
 def prism_product(g: Graph, k: int) -> Graph:

@@ -45,7 +45,7 @@ class SolverBudget:
     ``max_labelings`` bounds ``(k+1)**n`` for labeling enumeration (default
     3**12, i.e. n = 12 at k = 2).  ``max_subsets`` bounds ``2**n`` for
     vertex-subset enumeration (default n = 24).  ``max_nodes`` bounds the
-    search nodes of one ``gamma_bnb`` call (default 10**8, a few minutes).
+    search nodes of one ``gamma_bnb`` call (default 10**8 nodes).
     """
 
     max_labelings: int = 3**12
@@ -110,7 +110,6 @@ class SolveResult:
     value: int
     witness: Labeling
     nodes_explored: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class SetResult:
     value: int
     witness: int
     nodes_explored: int
-    method: str
 
 
 def weight(f: Labeling) -> int:
@@ -199,7 +197,7 @@ def _lex_scan(g: Graph, k: int, choices: Sequence[Sequence[int]]) -> Optional[So
             best = cand
     if best is None:
         return None
-    return SolveResult(best_w, Labeling(k, best), math.prod(map(len, choices)), "brute")
+    return SolveResult(best_w, Labeling(k, best), math.prod(map(len, choices)))
 
 
 def gamma_brute(g: Graph, k: int, budget: SolverBudget | None = None) -> SolveResult:
@@ -488,13 +486,13 @@ def gamma_bnb(
     labels = [0] * g.n
     total = 0
     nodes = 0
-    for part, vmap in components(g).parts:
+    for part, vmap in components(g):
         val, wit, explored = _bnb_component(part.adj, part.n, k, budget.max_nodes, nodes, lexmin)
         total += val
         nodes += explored
         for local, orig in zip(wit, vmap):
             labels[orig] = local
-    return SolveResult(total, Labeling(k, tuple(labels)), nodes, "bnb")
+    return SolveResult(total, Labeling(k, tuple(labels)), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +528,7 @@ def _smallest_dominating(g: Graph, budget: SolverBudget | None, independent: boo
                 cover |= closed[v]
             else:
                 if cover == g.full_mask:
-                    return SetResult(size, mask, examined, "enum")
+                    return SetResult(size, mask, examined)
     raise AssertionError("a maximal independent set always dominates")
 
 

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-# make gtools importable as a plain module from every test file
-sys.path.insert(0, str(Path(__file__).parent))
+# make gtools, and the benchmark's ILP oracle it uses, importable as plain
+# modules from every test file
+sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parent.parent / "perfbench")]
 
 from ridom.nordhaus import GammaCache
 

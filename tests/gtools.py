@@ -5,7 +5,9 @@ itertools over vertex sets, no bitmask tricks) so that agreement between
 the two is meaningful evidence rather than a tautology.  The one exception
 is ``bnb_vertex_order``, the package's earlier branch and bound, which
 shares no code with the search that replaced it and reaches the orders
-(n = 13-28) where enumeration cannot check witnesses.
+(n = 13-28) where enumeration cannot check witnesses.  The integer-program
+oracle is not written here: ``ilp_gamma_rik`` calls the benchmark's
+``perfbench/oracle.py``, which shares no code with the package either.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
+import oracle
 from ridom.graphs import (
     Graph,
     bits,
@@ -143,39 +146,11 @@ def ref_gamma_rik(g: Graph, k: int) -> int:
 def ilp_gamma_rik(g: Graph, k: int) -> int:
     """k-rainbow independent domination number as a 0/1 program.
 
-    Variable ``x[v, c]`` says vertex ``v`` carries color ``c`` in ``1..k``.
-    Each vertex carries at most one color, each color class is independent,
-    and a vertex without a color sees every color among its neighbors.  The
-    objective counts colored vertices.  Needs scipy (HiGHS); callers skip
-    when it is absent.
+    The benchmark's integer-programming oracle, ``perfbench/oracle.py``, so
+    one encoding serves both.  Needs scipy (HiGHS); callers skip when it is
+    absent.
     """
-    import numpy as np
-    from scipy.optimize import LinearConstraint, milp
-
-    if g.n == 0:
-        return 0
-    var = {(v, c): i for i, (v, c) in
-           enumerate(itertools.product(range(g.n), range(1, k + 1)))}
-    rows = []  # (variables summed, lower bound, upper bound)
-    for v in range(g.n):
-        rows.append(([var[v, c] for c in range(1, k + 1)], 0, 1))
-    for u, v in g.edges():
-        for c in range(1, k + 1):
-            rows.append(([var[u, c], var[v, c]], 0, 1))
-    for v, c in itertools.product(range(g.n), range(1, k + 1)):
-        own = [var[v, c2] for c2 in range(1, k + 1)]
-        seen = [var[u, c] for u in range(g.n) if g.has_edge(u, v)]
-        rows.append((own + seen, 1, np.inf))
-    a = np.zeros((len(rows), len(var)))
-    for r, (cols, _, _) in enumerate(rows):
-        for col in cols:
-            a[r, col] += 1
-    lo = [row[1] for row in rows]
-    hi = [row[2] for row in rows]
-    res = milp(np.ones(len(var)), constraints=LinearConstraint(a, lo, hi),
-               integrality=np.ones(len(var)), bounds=(0, 1))
-    assert res.status == 0, res.message
-    return int(round(res.fun))
+    return oracle.ilp_optimum(g.n, g.adj, k)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +315,7 @@ def bnb_vertex_order(g: Graph, k: int) -> tuple[int, tuple[int, ...], int]:
     """
     labels = [0] * g.n
     total = nodes = 0
-    for part, vmap in components(g).parts:
+    for part, vmap in components(g):
         value, witness, explored = _vertex_order_component(part.adj, part.n, k)
         total += value
         nodes += explored

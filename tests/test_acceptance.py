@@ -12,7 +12,7 @@ import time
 import pytest
 
 from gtools import extremal_family_members, random_graph, random_valid_partial
-from ridom.families import Family, classify_connected, is_trivial_components
+from ridom.families import Family, classify_connected, classify_graph
 from ridom.graphs import (
     Graph,
     complement,
@@ -111,7 +111,7 @@ def test_criterion_03_value_n_minus_1_families_are_complete(gamma2_cache):
         if n == 7 and len(stream) != 853:
             problems.append(f"expected 853 connected graphs at n=7, got {len(stream)}")
         for g in stream:
-            hit = classify_connected(g).family is not Family.NONE
+            hit = classify_connected(g) is not Family.NONE
             if hit != (gamma2(g, gamma2_cache) == n - 1):
                 problems.append(encode_graph6(g))
             checked += 1
@@ -126,7 +126,7 @@ def test_criterion_03_stretch_families_at_eight_vertices(gamma2_cache):
     if len(stream) != 11117:
         problems.append(f"expected 11117 connected graphs at n=8, got {len(stream)}")
     for g in stream:
-        hit = classify_connected(g).family is not Family.NONE
+        hit = classify_connected(g) is not Family.NONE
         if hit != (gamma2(g, gamma2_cache) == 7):
             problems.append(encode_graph6(g))
     finish(3, started, 600.0, problems, f"stretch tier, {len(stream)} graphs at n=8")
@@ -138,7 +138,7 @@ def test_criterion_04_value_n_exactly_for_tiny_components(gamma2_cache):
     checked = 0
     for n in range(7):
         for g in enumerate_labeled_graphs(n):
-            trivial = is_trivial_components(g)
+            trivial = classify_graph(g).trivially_small
             if trivial != (gamma2(g, gamma2_cache) == n):
                 problems.append(f"equivalence: {encode_graph6(g)}")
             if trivial and n >= 2 and gamma2(complement(g), gamma2_cache) != 2:

@@ -438,6 +438,7 @@ class UnreadableStdin(io.TextIOBase):
     (["solve", "--k", "x"], "argument --k: invalid int value: 'x'"),
     (["solve", "--budget-nodes", "-1"], "argument --budget-nodes: must be at least 0"),
     (["ng", "--budget-labelings", "-1"], "argument --budget-labelings: must be at least 0"),
+    (["ng", "--min-n", "-1"], "argument --min-n: must be at least 0"),
 ])
 def test_out_of_range_options_are_usage_errors(monkeypatch, capsys, args, error):
     # the parser refuses them, so no input is read and no line is blamed

@@ -7,11 +7,9 @@ import pytest
 from gtools import extremal_family_members
 from ridom.families import (
     Family,
-    FamilyTag,
     GraphClass,
     classify_connected,
     classify_graph,
-    is_trivial_components,
     predict_gamma_ri2,
 )
 from ridom.graphs import (
@@ -55,22 +53,7 @@ from ridom.solver import gamma_bnb
          "balanced-double-star", "p5"],
 )
 def test_family_membership(g, family):
-    assert classify_connected(g).family is family
-
-
-def test_star_tag_names_the_center():
-    tag = classify_connected(star_graph(5))
-    assert tag == FamilyTag(Family.STAR, (0,))
-
-
-def test_double_star_tag_orders_centers_by_degree():
-    tag = classify_connected(double_star(3, 1))
-    assert tag.family is Family.DOUBLE_STAR_31
-    big, small = tag.centers
-    g = double_star(3, 1)
-    assert g.degree(big) == g.n - 2
-    assert g.degree(small) == 2
-    assert g.has_edge(big, small)
+    assert classify_connected(g) is family
 
 
 def test_classify_connected_rejects_bad_input():
@@ -85,11 +68,11 @@ def test_classification_is_label_independent():
     samples = [star_graph(4), star_plus_edge(4), double_star(3, 1),
                cycle_graph(5), path_graph(5)]
     for g in samples:
-        want = classify_connected(g).family
+        want = classify_connected(g)
         for _ in range(10):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            assert classify_connected(relabel(g, perm)).family is want
+            assert classify_connected(relabel(g, perm)) is want
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +80,10 @@ def test_classification_is_label_independent():
 # ---------------------------------------------------------------------------
 
 def test_trivial_components_examples():
-    assert is_trivial_components(Graph.empty(3))
-    assert is_trivial_components(disjoint_union(complete_graph(2), Graph.empty(1)))
-    assert not is_trivial_components(complete_graph(3))
-    assert is_trivial_components(Graph.empty(0))
+    assert classify_graph(Graph.empty(3)).trivially_small
+    assert classify_graph(disjoint_union(complete_graph(2), Graph.empty(1))).trivially_small
+    assert not classify_graph(complete_graph(3)).trivially_small
+    assert classify_graph(Graph.empty(0)).trivially_small
 
 
 def test_classify_graph_examples():
@@ -109,15 +92,14 @@ def test_classify_graph_examples():
     cls = classify_graph(g)
     assert cls.matches_n_minus_1
     assert not cls.trivially_small
-    idx, tag = cls.special
-    assert idx == 0 and tag.family is Family.STAR
+    assert cls.family is Family.STAR
 
     cls = classify_graph(disjoint_union(complete_graph(2), complete_graph(2)))
-    assert cls.trivially_small and not cls.matches_n_minus_1 and cls.special is None
+    assert cls.trivially_small and not cls.matches_n_minus_1 and cls.family is Family.NONE
 
     cls = classify_graph(disjoint_union(cycle_graph(5), Graph.empty(1)))
     assert cls.matches_n_minus_1
-    assert cls.special[1].family is Family.C5
+    assert cls.family is Family.C5
 
 
 def test_two_large_components_never_match():
@@ -129,7 +111,9 @@ def test_classify_graph_answers_tiny_input():
     # below 3 vertices every component is tiny: no family, value n
     for n in range(3):
         for g in enumerate_labeled_graphs(n):
-            assert classify_graph(g) == GraphClass(None, True, False, n), g
+            cls = classify_graph(g)
+            assert cls == GraphClass(n, Family.NONE, True), g
+            assert cls.predicted == n and not cls.matches_n_minus_1, g
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +131,7 @@ def test_connected_equivalence_small():
     # family hit exactly when the solver lands one below the order
     for n in range(3, 7):
         for g in enumerate_nonisomorphic(n, connected=True):
-            hit = classify_connected(g).family is not Family.NONE
+            hit = classify_connected(g) is not Family.NONE
             assert hit == (gamma_bnb(g, 2).value == n - 1), encode_graph6(g)
 
 
@@ -175,4 +159,4 @@ def test_family_members_are_recognized_at_every_size():
     for n in range(3, 9):
         for label, g in extremal_family_members(n):
             assert g.n == n, label
-            assert classify_connected(g).family is not Family.NONE, (label, n)
+            assert classify_connected(g) is not Family.NONE, (label, n)

@@ -219,16 +219,16 @@ def test_induced_subgraph_of_cycle_prefix():
 
 def test_components_split_and_order():
     g = disjoint_union(path_graph(3), complete_graph(2))
-    decomp = components(g)
-    assert decomp.sizes() == (3, 2)
-    part_maps = [vmap for _, vmap in decomp.parts]
+    parts = components(g)
+    assert [part.n for part, _ in parts] == [3, 2]
+    part_maps = [vmap for _, vmap in parts]
     assert part_maps == [(0, 1, 2), (3, 4)]
-    assert all(is_connected(part) for part, _ in decomp.parts)
+    assert all(is_connected(part) for part, _ in parts)
 
 
 def test_single_component_for_connected_graph():
-    assert components(cycle_graph(4)).sizes() == (4,)
-    assert components(Graph.empty(0)).sizes() == ()
+    assert components(cycle_graph(4)) == ((cycle_graph(4), (0, 1, 2, 3)),)
+    assert components(Graph.empty(0)) == ()
 
 
 def test_components_equal_induced_parts_on_all_small_graphs():
@@ -244,7 +244,7 @@ def test_components_equal_induced_parts_on_all_small_graphs():
                 classes = [c for c in classes if c not in touching] + [merged]
             masks = sorted((sum(1 << v for v in c) for c in classes), key=lambda m: m & -m)
             expected = tuple(induced_subgraph(g, m) for m in masks)
-            assert components(g).parts == expected, encode_graph6(g)
+            assert components(g) == expected, encode_graph6(g)
             assert is_connected(g) == (len(classes) <= 1), encode_graph6(g)
 
 
