@@ -24,14 +24,13 @@ pool workers receive as they are.  All subcommands run on one pipeline:
 runs the same tasks inline, one at a time).  The pool never has more
 processes than the machine has CPUs; the window stays ``2 * N`` whatever
 the pool's size.  Each task hands its rows a value cache, which only
-``ng``'s rows read and fill.  The parent remembers the values that returned
-caches hold for their graphs and complements, up to ``NG_KNOWN_MAX`` of
-them, first in first out, and seeds each new task's cache with those its
-graphs and their complements need.  In ``--enumerate`` order the
-complement of edge mask m is mask 2^E - 1 - m, so the second half of an
-enumeration is answered from the first.  Which values seed a task depends
-only on its position in the stream, so the report and the solver's work are
-the same on every run.
+``ng``'s rows read and fill.  Under ``--enumerate N``, ``ng`` first builds a
+table of the values of every edge mask and its complement, solving one
+graph and its complement per complementary pair of isomorphism classes
+(:func:`~ridom.nordhaus.enumeration_values`), and seeds each task's cache
+from it, so its rows never solve: 156 solver calls for the 32,768 graphs
+on 6 vertices and 1,044 for the 2,097,152 on 7.  The report and the solver's
+work are the same on every run and for any worker count.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import shutil
 import sys
 import tempfile
 from argparse import ArgumentParser, ArgumentTypeError, Namespace
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import nullcontext
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import fields
@@ -68,8 +67,8 @@ from .nordhaus import (
     STATUS_AT_UPPER,
     STATUS_VIOLATION,
     GammaCache,
-    GammaKey,
     cache_keys,
+    enumeration_values,
     extremal_ids,
     ng_record,
 )
@@ -89,10 +88,8 @@ EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
-# the pipeline hands the pool this many graphs per task, and the parent
-# keeps at most this many known values to seed later tasks with
+# the pipeline hands the pool this many graphs per task
 NG_CHUNK = 512
-NG_KNOWN_MAX = 1 << 16
 
 
 class InputError(ValueError):
@@ -136,10 +133,12 @@ def _build_parser() -> ArgumentParser:
     }
 
     def command(name: str, about: str, row: Callable, names: tuple[str, ...] = (),
-                finish: Optional[Callable] = None, head: tuple[str, ...] = (),
-                min_k: Optional[int] = None, budgets: tuple[str, ...] = ()) -> ArgumentParser:
+                finish: Optional[Callable] = None, table: Optional[Callable] = None,
+                head: tuple[str, ...] = (), min_k: Optional[int] = None,
+                budgets: tuple[str, ...] = ()) -> ArgumentParser:
         """A subparser with the common options and the budget options its
-        solvers read (``budgets``), and its row, tallies and summary head."""
+        solvers read (``budgets``), and its row, tallies, summary head and
+        ``--enumerate`` value table."""
         sp = sub.add_parser(name, help=about)
         if min_k is not None:
             sp.add_argument("--k", type=_at_least(min_k), default=2,
@@ -159,7 +158,7 @@ def _build_parser() -> ArgumentParser:
             if dest in budgets:
                 sp.add_argument(flag, dest=dest, type=count,
                                 default=getattr(DEFAULT_BUDGET, dest), help=about)
-        sp.set_defaults(row=row, names=names, finish=finish, head=head, min_n=0)
+        sp.set_defaults(row=row, names=names, finish=finish, table=table, head=head, min_n=0)
         return sp
 
     command("solve", "labeling value and witness per graph", _solve_row, head=("k",), min_k=1,
@@ -167,7 +166,7 @@ def _build_parser() -> ArgumentParser:
     command("classify", "structural family classification", _classify_row,
             names=("matches_n_minus_1", "trivially_small"))
     ng = command("ng", "complement-sum bound verification", _ng_row, names=ALL_STATUSES,
-                 finish=_ng_finish, head=("min_n", "seed"),
+                 finish=_ng_finish, table=enumeration_values, head=("min_n", "seed"),
                  budgets=("max_labelings", "max_nodes"))
     ng.add_argument("--min-n", dest="min_n", type=count, default=0,
                     help="skip graphs below this order")
@@ -252,41 +251,38 @@ class _InlinePool:
         return fut
 
 
-def _task(items: list, cache: GammaCache, cfg: Namespace) -> tuple[list, GammaCache]:
-    """One task: the rows of ``items``, and the value cache they leave behind."""
-    return [cfg.row(lineno, text, g, cache, cfg) for lineno, text, g in items], cache
+def _task(items: list, cache: GammaCache, cfg: Namespace) -> list:
+    """One task: the rows of ``items``, which share the value cache ``cache``."""
+    return [cfg.row(lineno, text, g, cache, cfg) for lineno, text, g in items]
 
 
 def _stream(cfg: Namespace, pool: ProcessPoolExecutor | _InlinePool, window: int) -> Iterator:
     """Rows of the input stream in order, computed ``NG_CHUNK`` graphs a task.
 
     At most ``window`` tasks are in flight, and a full window waits for its
-    oldest task, so the values that seed a task depend only on its position,
-    never on timing.  ``known`` holds the last ``NG_KNOWN_MAX`` values that
-    returned caches hold (first in, first out); a task's cache holds values
-    of its own graphs and their complements only, and starts with those of
-    them that ``known`` has.  Rows that never fill a cache leave ``known``
-    empty, and then no task computes its cache keys.
+    oldest task.  Under ``--enumerate``, item i is the graph of edge mask
+    i - 1, and a subcommand that declares a value table (``cfg.table``)
+    seeds each task's cache with the table's values of its graphs and their
+    complements.  The table is built when the first task is, so a stream
+    that fails at once or has no graph of order ``--min-n`` builds none.
     """
     items = (item for item in _iter_inputs(cfg) if item[2].n >= cfg.min_n)
-    known: OrderedDict[GammaKey, int] = OrderedDict()
+    table = None
     pending: deque[Future] = deque()
-
-    def oldest() -> list:
-        rows, cache = pending.popleft().result()
-        known.update(cache)
-        while len(known) > NG_KNOWN_MAX:
-            known.popitem(last=False)
-        return rows
-
     while batch := list(itertools.islice(items, NG_CHUNK)):
         if len(pending) == window:
-            yield from oldest()
-        keys = (key for _, _, g in batch for key in cache_keys(g)) if known else ()
-        seeds = {key: known[key] for key in keys if key in known}
+            yield from pending.popleft().result()
+        if table is None and cfg.table is not None and cfg.enumerate_n is not None:
+            table = cfg.table(cfg.enumerate_n, cfg.budget)
+        seeds: GammaCache = {}
+        if table is not None:
+            gamma, gamma_comp = table
+            for i, _, g in batch:
+                key, ckey = cache_keys(g)
+                seeds[key], seeds[ckey] = gamma[i - 1], gamma_comp[i - 1]
         pending.append(pool.submit(_task, batch, seeds, cfg))
     while pending:
-        yield from oldest()
+        yield from pending.popleft().result()
 
 
 def _rows(cfg: Namespace) -> Iterator:
@@ -295,7 +291,7 @@ def _rows(cfg: Namespace) -> Iterator:
         yield from _stream(cfg, _InlinePool(), window=1)
         return
     # the first submit forks every worker, so the pool stops at the CPU count;
-    # the window stays 2N, so the seeds and the solver's work do not depend on it
+    # the window stays 2N whatever the pool's size
     with ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
         try:
             yield from _stream(cfg, pool, window=2 * cfg.workers)

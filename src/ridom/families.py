@@ -40,6 +40,11 @@ def classify_connected(g: Graph) -> Family:
         raise ValueError(f"family classification needs n >= 3, got n = {g.n}")
     if not is_connected(g):
         raise ValueError("family classification needs a connected graph")
+    return _family(g)
+
+
+def _family(g: Graph) -> Family:
+    """:func:`classify_connected` without its input checks."""
     n = g.n
     deg = g.degrees()
 
@@ -100,7 +105,7 @@ class GraphClass:
 def classify_graph(g: Graph) -> GraphClass:
     """Classify ``g`` of any order; below 3 vertices every component is tiny."""
     big = [part for part, _ in components(g) if part.n >= 3]
-    return GraphClass(g.n, classify_connected(big[0]) if len(big) == 1 else Family.NONE, not big)
+    return GraphClass(g.n, _family(big[0]) if len(big) == 1 else Family.NONE, not big)
 
 
 def predict_gamma_ri2(g: Graph) -> Optional[int]:

@@ -371,20 +371,31 @@ def parse_edge_list(text: str) -> Graph:
 # enumeration and exact canonical forms
 
 
+@lru_cache(maxsize=None)
+def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(itertools.combinations(range(n), 2))
+
+
+def labeled_graph(n: int, mask: int) -> Graph:
+    """The graph on ``n`` vertices with edge mask ``mask``: bit ``b`` is the
+    ``b``-th vertex pair in lexicographic order (01, 02, ..., 12, ...)."""
+    pairs = _vertex_pairs(n)
+    rows = [0] * n
+    for b in bits(mask):
+        i, j = pairs[b]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
+
+
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n choose 2) labeled graphs in edge-mask counter order."""
     if not 0 <= n <= LABELED_ENUM_MAX_VERTICES:
         raise UnsupportedSizeError(
             f"labeled enumeration caps at {LABELED_ENUM_MAX_VERTICES} vertices"
         )
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for b, (i, j) in enumerate(pairs):
-            if mask >> b & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        yield Graph(n, tuple(rows))
+    for mask in range(1 << n * (n - 1) // 2):
+        yield labeled_graph(n, mask)
 
 
 def _twin_classes(g: Graph) -> list[int]:

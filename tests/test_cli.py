@@ -17,12 +17,16 @@ from pathlib import Path
 
 import pytest
 
-from ridom import cli, families, nordhaus
+from ridom import cli, families, graphs, nordhaus
 from ridom.cli import InputError, run
 from ridom.graphs import (
+    Graph,
+    canonical_form,
     cycle_graph,
     encode_graph6,
     enumerate_labeled_graphs,
+    enumerate_nonisomorphic,
+    parse_graph6,
     path_graph,
     star_graph,
 )
@@ -33,6 +37,10 @@ from ridom.reduction import bipartition
 BIPARTITE_LINES = [
     encode_graph6(g) for g in enumerate_labeled_graphs(4) if bipartition(g) is not None
 ] + [encode_graph6(g) for g in (cycle_graph(6), path_graph(7), star_graph(5))]
+
+
+# a triangle with a pendant vertex at two of its corners
+BULL = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
 
 
 def last_json(text: str) -> dict:
@@ -111,10 +119,12 @@ def test_classify_unrecognized_graph_has_no_prediction(tmp_path, capsys):
 
 
 def test_classify_decomposes_each_graph_once(tmp_path, monkeypatch, capsys):
-    # one decomposition per graph, those below 3 vertices included
+    # one decomposition per graph, those below 3 vertices included, and no
+    # second pass through the connectivity test that ``graphs`` makes with it
     calls = []
-    decompose = families.components
+    decompose = graphs.components
     monkeypatch.setattr(families, "components", lambda g: calls.append(g) or decompose(g))
+    monkeypatch.setattr(graphs, "components", lambda g: calls.append(g) or decompose(g))
     lines = [encode_graph6(g) for n in range(5) for g in enumerate_labeled_graphs(n)]
     assert run(["classify", "--input", write_lines(tmp_path / "in.g6", lines)]) == 0
     assert len(calls) == 1 + 1 + 2 + 8 + 64
@@ -146,29 +156,54 @@ def test_ng_reports_are_worker_independent(tmp_path):
     assert one.read_text(encoding="ascii") == two.read_text(encoding="ascii")
 
 
-@pytest.mark.parametrize("known_max", [16, cli.NG_KNOWN_MAX])
-def test_ng_seeded_chunks_keep_reports_worker_independent(tmp_path, monkeypatch, known_max):
-    # 147 tasks of 7 graphs: complements land in other tasks and reach them
-    # as seeds, and with 16 known values the parent's map evicts constantly
-    monkeypatch.setattr(cli, "NG_CHUNK", 7)
-    monkeypatch.setattr(cli, "NG_KNOWN_MAX", known_max)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [7, 512])
+def test_ng_seeded_chunks_keep_reports_worker_independent(tmp_path, monkeypatch, chunk, workers):
+    # with 7 graphs a task, 147 tasks each take their seeds from the table
+    monkeypatch.setattr(cli, "NG_CHUNK", chunk)
     expected = "".join(ng_record(g).to_line() + "\n" for g in enumerate_labeled_graphs(5))
-    for workers in (1, 2, 3):
-        out = tmp_path / f"w{workers}.tsv"
-        assert run(["ng", "--enumerate", "5", "--workers", str(workers), "--out", str(out)]) == 0
-        text = out.read_text(encoding="ascii")
-        assert text.startswith(expected) and text.count("\n") == 1025, workers
+    out = tmp_path / "r.tsv"
+    assert run(["ng", "--enumerate", "5", "--workers", str(workers), "--out", str(out)]) == 0
+    text = out.read_text(encoding="ascii")
+    assert text.startswith(expected) and text.count("\n") == 1025
 
 
 @pytest.mark.parametrize("chunk", [7, cli.NG_CHUNK])
-def test_ng_inline_path_solves_each_labeled_graph_once(tmp_path, monkeypatch, chunk):
+def test_ng_enumerate_solves_once_per_isomorphism_class(tmp_path, monkeypatch, chunk):
+    # a graph and its complement per complementary pair of the 34 classes on
+    # 5 vertices: C5 and the bull are their own complements' classes
     monkeypatch.setattr(cli, "NG_CHUNK", chunk)
     calls = []
     solve = nordhaus.gamma_bnb
     monkeypatch.setattr(nordhaus, "gamma_bnb", lambda g, *rest, **kw: calls.append(g) or solve(g, *rest, **kw))
     assert run(["ng", "--enumerate", "5", "--out", str(tmp_path / "r.tsv")]) == 0
-    assert len(calls) == 1024
-    assert len({g.adj for g in calls}) == 1024
+    assert len(calls) == 36
+    forms = [canonical_form(g) for g in calls]
+    assert len(set(forms)) == 34 == len(enumerate_nonisomorphic(5))
+    firsts = forms[::2]
+    assert len(set(firsts)) == 18
+    self_complementary = [f for f, c in zip(firsts, forms[1::2]) if f == c]
+    assert sorted(self_complementary) == sorted(canonical_form(g) for g in (cycle_graph(5), BULL))
+
+
+def test_ng_enumerate_agrees_with_one_record_per_class(tmp_path):
+    # every labeled graph carries the values that ``--noniso`` solves on its
+    # class's representative, a different labeling in most classes
+    labeled, classes = tmp_path / "labeled.tsv", tmp_path / "classes.tsv"
+    assert run(["ng", "--enumerate", "5", "--out", str(labeled)]) == 0
+    assert run(["ng", "--noniso", "5", "--out", str(classes)]) == 0
+
+    def records(path):
+        lines = path.read_text(encoding="ascii").splitlines()[:-1]
+        return [(canonical_form(parse_graph6(line.split("\t", 1)[0])), line.split("\t")[1:])
+                for line in lines]
+
+    by_class = dict(records(classes))
+    assert len(by_class) == 34
+    labeled_records = records(labeled)
+    assert len(labeled_records) == 1024
+    for form, fields in labeled_records:
+        assert fields == by_class[form]
 
 
 def test_ng_min_n_skips_small_graphs(tmp_path, capsys):
@@ -483,9 +518,9 @@ def test_option_surface_is_pinned(sub):
     parsed = vars(cli._build_parser().parse_args([sub]))
     expected = {**OPTIONS, "subcommand": sub, **SUBCOMMAND_OPTIONS[sub]}
     # what each subparser's set_defaults adds besides its options: the row,
-    # its tallies, the finish step, the summary head and min_n for the
-    # subcommands without --min-n
-    added = {"row", "names", "finish", "head"} | ({"min_n"} - expected.keys())
+    # its tallies, the finish step, the --enumerate value table, the summary
+    # head and min_n for the subcommands without --min-n
+    added = {"row", "names", "finish", "table", "head"} | ({"min_n"} - expected.keys())
     assert {name: parsed[name] for name in parsed.keys() - added} == expected
     assert callable(parsed["row"])
     assert set(parsed["head"]) <= expected.keys()

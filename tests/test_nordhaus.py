@@ -2,15 +2,19 @@
 
 import io
 import json
+import random
 import sys
 
+import pytest
 from hypothesis import given, settings
 
 from gtools import graphs
 from ridom import nordhaus
 from ridom.cli import run
 from ridom.graphs import (
+    LABELED_ENUM_MAX_VERTICES,
     Graph,
+    UnsupportedSizeError,
     canonical_form,
     complement,
     complete_graph,
@@ -20,6 +24,7 @@ from ridom.graphs import (
     encode_graph6,
     enumerate_labeled_graphs,
     enumerate_nonisomorphic,
+    labeled_graph,
     parse_graph6,
     path_graph,
     relabel,
@@ -33,6 +38,7 @@ from ridom.nordhaus import (
     STATUS_IN_RANGE,
     STATUS_VIOLATION,
     cache_keys,
+    enumeration_values,
     is_five_cycle,
     ng_record,
 )
@@ -115,6 +121,66 @@ def test_cache_keys_are_distinct_and_mirror_the_complement():
             assert key not in seen
             seen.add(key)
     assert len(seen) == 1 + 1 + 2 + 8 + 64 + 1024
+
+
+# ---------------------------------------------------------------------------
+# the value table of a labeled enumeration
+# ---------------------------------------------------------------------------
+
+def test_table_matches_records_for_every_mask_up_to_five_vertices(gamma2_cache):
+    for n in range(6):
+        gamma, gamma_comp = enumeration_values(n)
+        assert len(gamma) == len(gamma_comp) == 1 << n * (n - 1) // 2
+        for mask, g in enumerate(enumerate_labeled_graphs(n)):
+            rec = ng_record(g, gamma2_cache)
+            assert (gamma[mask], gamma_comp[mask]) == (rec.gamma, rec.gamma_comp), (n, mask)
+
+
+def test_table_matches_records_on_sampled_six_vertex_masks(gamma2_cache):
+    gamma, gamma_comp = enumeration_values(6)
+    for mask in random.Random(6).sample(range(1 << 15), 2000):
+        rec = ng_record(labeled_graph(6, mask), gamma2_cache)
+        assert (gamma[mask], gamma_comp[mask]) == (rec.gamma, rec.gamma_comp), mask
+
+
+def test_table_of_the_smallest_orders():
+    # the empty graph has value 0, so no entry's value says "not reached yet"
+    assert enumeration_values(0) == (bytearray([0]), bytearray([0]))
+    assert enumeration_values(1) == (bytearray([1]), bytearray([1]))
+    # the two labeled graphs on 2 vertices are each other's complements
+    assert enumeration_values(2) == (bytearray([2, 2]), bytearray([2, 2]))
+
+
+def test_table_refuses_orders_beyond_the_labeled_cap():
+    with pytest.raises(UnsupportedSizeError):
+        enumeration_values(LABELED_ENUM_MAX_VERTICES + 1)
+
+
+def test_orbits_are_the_isomorphism_classes():
+    # one orbit per class (OEIS A000088), together covering every mask once
+    for n, count in enumerate((1, 1, 2, 4, 11, 34, 156)):
+        orbits = [orbit for pair in nordhaus._edge_orbits(n) for orbit in pair if orbit]
+        assert len(orbits) == count
+        masks = sorted(mask for orbit in orbits for mask in orbit)
+        assert masks == list(range(1 << n * (n - 1) // 2))
+        if n <= 5:
+            forms = [{canonical_form(labeled_graph(n, mask)) for mask in orbit} for orbit in orbits]
+            assert all(len(form) == 1 for form in forms)
+            assert len(set.union(*forms)) == count
+
+
+def test_self_complementary_classes_share_both_values():
+    # P4 on 4 vertices, C5 and the bull on 5: their orbits hold their complements
+    for n, count in ((4, 1), (5, 2)):
+        gamma, gamma_comp = enumeration_values(n)
+        full = (1 << n * (n - 1) // 2) - 1
+        own = [orbit for orbit, co_orbit in nordhaus._edge_orbits(n) if not co_orbit]
+        assert len(own) == count
+        for orbit in own:
+            g = labeled_graph(n, orbit[0])
+            assert canonical_form(g) == canonical_form(complement(g))
+            assert full ^ orbit[0] in orbit
+            assert all(gamma[mask] == gamma_comp[mask] for mask in orbit)
 
 
 # ---------------------------------------------------------------------------
