@@ -25,12 +25,12 @@ runs the same tasks inline, one at a time).  The pool never has more
 processes than the machine has CPUs; the window stays ``2 * N`` whatever
 the pool's size.  Each task hands its rows a value cache, which only
 ``ng``'s rows read and fill.  Under ``--enumerate N``, ``ng`` first builds a
-table of the values of every edge mask and its complement, solving one
-graph and its complement per complementary pair of isomorphism classes
-(:func:`~ridom.nordhaus.enumeration_values`), and seeds each task's cache
-from it, so its rows never solve: 156 solver calls for the 32,768 graphs
-on 6 vertices and 1,044 for the 2,097,152 on 7.  The report and the solver's
-work are the same on every run and for any worker count.
+table of one value per edge mask, with the complement's at the mirror entry,
+solving one graph and its complement per complementary pair of isomorphism
+classes (:func:`~ridom.nordhaus.enumeration_values`).  It seeds each task's
+cache from it, so its rows never solve: 156 solver calls for the 32,768
+graphs on 6 vertices and 1,044 for the 2,097,152 on 7.  The report and the
+solver's work are the same on every run and for any worker count.
 """
 
 from __future__ import annotations
@@ -276,10 +276,10 @@ def _stream(cfg: Namespace, pool: ProcessPoolExecutor | _InlinePool, window: int
             table = cfg.table(cfg.enumerate_n, cfg.budget)
         seeds: GammaCache = {}
         if table is not None:
-            gamma, gamma_comp = table
             for i, _, g in batch:
                 key, ckey = cache_keys(g)
-                seeds[key], seeds[ckey] = gamma[i - 1], gamma_comp[i - 1]
+                # the complement of mask i - 1 is the mirror mask, at entry -i
+                seeds[key], seeds[ckey] = table[i - 1], table[-i]
         pending.append(pool.submit(_task, batch, seeds, cfg))
     while pending:
         yield from pending.popleft().result()

@@ -260,11 +260,10 @@ def double_star(a: int, b: int) -> Graph:
 # graph6 codec (short form only) and the edge-list text format
 
 
-def _triangle_pairs(n: int) -> Iterator[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _triangle_pairs(n: int) -> tuple[tuple[int, int], ...]:
     # graph6 bit order: column-major upper triangle
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
+    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
 def _byte_name(ch: str) -> str:
@@ -388,13 +387,19 @@ def labeled_graph(n: int, mask: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^(n choose 2) labeled graphs in edge-mask counter order."""
+def labeled_masks(n: int) -> range:
+    """The 2^(n choose 2) edge masks of the labeled graphs on ``n`` vertices,
+    in counter order; refuses ``n`` above ``LABELED_ENUM_MAX_VERTICES``."""
     if not 0 <= n <= LABELED_ENUM_MAX_VERTICES:
         raise UnsupportedSizeError(
             f"labeled enumeration caps at {LABELED_ENUM_MAX_VERTICES} vertices"
         )
-    for mask in range(1 << n * (n - 1) // 2):
+    return range(1 << n * (n - 1) // 2)
+
+
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
+    """All labeled graphs on ``n`` vertices, in edge-mask counter order."""
+    for mask in labeled_masks(n):
         yield labeled_graph(n, mask)
 
 

@@ -5,8 +5,8 @@ graph plus the value on its complement lies in ``[5, n + 2]``; the 5-cycle is
 self-complementary and alone attains ``n + 3``.  At ``n = 2`` only the upper
 bound applies, and 0- or 1-vertex graphs are unconstrained.  This module
 computes one graph's exact sum with the branch-and-bound solver, classifies
-the record against the applicable bounds, tabulates both values over a whole
-labeled enumeration with one solve per isomorphism class, and collapses
+the record against the applicable bounds, tabulates the value of every graph
+of a labeled enumeration with one solve per isomorphism class, and collapses
 graph6 ids up to isomorphism.  ``ridom ng`` runs it over a graph stream, so
 a scan either certifies the window or surfaces concrete counterexamples.
 """
@@ -14,18 +14,17 @@ a scan either certifies the window or surfaces concrete counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .families import is_five_cycle
 from .graphs import (
-    LABELED_ENUM_MAX_VERTICES,
     MAX_VERTICES,
     Graph,
-    UnsupportedSizeError,
     canonical_form,
     complement,
     encode_graph6,
     labeled_graph,
+    labeled_masks,
     parse_graph6,
 )
 from .solver import SolverBudget, gamma_bnb
@@ -126,21 +125,30 @@ def ng_record(
     )
 
 
-def _edge_orbits(n: int) -> Iterator[tuple[list[int], list[int]]]:
-    """The orbits of the edge masks on ``n`` vertices under relabeling, by
-    complementary pairs.
+# a table entry that no orbit has reached yet: every value is at most
+# n <= 7, and 0 will not do, since the empty graph K0 has value 0
+_UNSET = 255
 
-    The masks are scanned in increasing order.  Each mask ``m`` that no orbit
-    has reached yet gives m's orbit and the orbit of its complement mask.
-    Complementing commutes with relabeling, so the second is the set of
-    complements of the first, or empty when the first holds them (a
-    self-complementary class).  An orbit is found by a search over two
+
+def enumeration_values(n: int, budget: Optional[SolverBudget] = None) -> bytearray:
+    """The value of every labeled graph on ``n`` vertices, indexed by edge
+    mask (the mask of :func:`labeled_graph`).  The complement of mask ``m``
+    is ``full ^ m``, so its value is the mirror entry ``gamma[-1 - m]``.
+
+    Relabeling keeps the value, so the masks are scanned in increasing order
+    and each mask ``m`` that no orbit has reached yet is solved, with its
+    complement, under ``budget``: 156 solves for the 32,768 graphs on 6
+    vertices.  m's value fills its orbit, found by a search over two
     generators of the symmetric group, the transposition (0 1) and the
     n-cycle.  Each acts on a mask as a permutation of its edge bits, applied
-    through one lookup table per 8-bit chunk of the mask.
+    through one lookup table per 8-bit chunk of the mask.  Complementing
+    commutes with relabeling, so the complement's value fills the
+    complements of the orbit, unless the orbit holds them already (a
+    self-complementary class).
     """
-    size = 1 << n * (n - 1) // 2
-    full = size - 1
+    masks = labeled_masks(n)
+    gamma = bytearray([_UNSET]) * len(masks)
+    full = masks[-1]
     # the vertex pair of each edge bit, in bit order
     bit_of = {next(labeled_graph(n, 1 << b).edges()): b for b in range(full.bit_length())}
     generators = []
@@ -153,52 +161,25 @@ def _edge_orbits(n: int) -> Iterator[tuple[list[int], list[int]]]:
                 table += [x | image for x in table]
             tables.append((lo, table))
         generators.append(tables)
-    reached = bytearray(size)
-    for m in range(size):
-        if reached[m]:
+    for m in masks:
+        if gamma[m] != _UNSET:
             continue
-        reached[m] = 1
+        g = labeled_graph(n, m)
+        a = gamma[m] = gamma_bnb(g, 2, budget, lexmin=False).value
+        b = gamma_bnb(complement(g), 2, budget, lexmin=False).value
         orbit = [m]
         for x in orbit:
             for tables in generators:
                 y = 0
                 for lo, table in tables:
                     y |= table[x >> lo & 255]
-                if not reached[y]:
-                    reached[y] = 1
+                if gamma[y] == _UNSET:
+                    gamma[y] = a
                     orbit.append(y)
-        co_orbit = [] if reached[full ^ m] else [full ^ x for x in orbit]
-        for x in co_orbit:
-            reached[x] = 1
-        yield orbit, co_orbit
-
-
-def enumeration_values(
-    n: int, budget: Optional[SolverBudget] = None
-) -> tuple[bytearray, bytearray]:
-    """The value of every labeled graph on ``n`` vertices and of its
-    complement, indexed by edge mask (the mask of :func:`labeled_graph`).
-
-    Relabeling keeps both values, so each complementary pair of isomorphism
-    classes is solved once, on the graph of its least mask and on that
-    graph's complement, under ``budget``: 156 solves for the 32,768 graphs
-    on 6 vertices.
-    """
-    if not 0 <= n <= LABELED_ENUM_MAX_VERTICES:
-        raise UnsupportedSizeError(
-            f"labeled enumeration caps at {LABELED_ENUM_MAX_VERTICES} vertices"
-        )
-    gamma = bytearray(1 << n * (n - 1) // 2)
-    gamma_comp = bytearray(len(gamma))
-    for orbit, co_orbit in _edge_orbits(n):
-        g = labeled_graph(n, orbit[0])
-        a = gamma_bnb(g, 2, budget, lexmin=False).value
-        b = gamma_bnb(complement(g), 2, budget, lexmin=False).value
-        for mask in orbit:
-            gamma[mask], gamma_comp[mask] = a, b
-        for mask in co_orbit:
-            gamma[mask], gamma_comp[mask] = b, a
-    return gamma, gamma_comp
+        if gamma[full ^ m] == _UNSET:
+            for x in orbit:
+                gamma[full ^ x] = b
+    return gamma
 
 
 def extremal_ids(ids: Iterable[str]) -> list[str]:

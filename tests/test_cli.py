@@ -186,6 +186,12 @@ def test_ng_enumerate_solves_once_per_isomorphism_class(tmp_path, monkeypatch, c
     assert sorted(self_complementary) == sorted(canonical_form(g) for g in (cycle_graph(5), BULL))
 
 
+@pytest.mark.parametrize("subcommand", ["ng", "codec"])
+def test_enumerate_refuses_orders_above_the_labeled_cap(capsys, subcommand):
+    assert run([subcommand, "--enumerate", "8"]) == 2
+    assert capsys.readouterr() == ("", "error: labeled enumeration caps at 7 vertices\n")
+
+
 def test_ng_enumerate_agrees_with_one_record_per_class(tmp_path):
     # every labeled graph carries the values that ``--noniso`` solves on its
     # class's representative, a different labeling in most classes

@@ -351,6 +351,12 @@ def test_labeled_enumeration_counts_and_extremes():
     assert seen[-1] == complete_graph(4)
 
 
+@pytest.mark.parametrize("n", [-1, 8])
+def test_labeled_enumeration_refuses_orders_outside_its_range(n):
+    with pytest.raises(UnsupportedSizeError, match="labeled enumeration caps at 7 vertices"):
+        next(enumerate_labeled_graphs(n))
+
+
 def test_nonisomorphic_counts_match_the_literature():
     assert [len(enumerate_nonisomorphic(n)) for n in range(8)] == [
         1, 1, 2, 4, 11, 34, 156, 1044,

@@ -128,59 +128,60 @@ def test_cache_keys_are_distinct_and_mirror_the_complement():
 # ---------------------------------------------------------------------------
 
 def test_table_matches_records_for_every_mask_up_to_five_vertices(gamma2_cache):
+    # every entry is reached, and the mirror entry holds the complement's value
     for n in range(6):
-        gamma, gamma_comp = enumeration_values(n)
-        assert len(gamma) == len(gamma_comp) == 1 << n * (n - 1) // 2
+        gamma = enumeration_values(n)
+        assert len(gamma) == 1 << n * (n - 1) // 2
         for mask, g in enumerate(enumerate_labeled_graphs(n)):
             rec = ng_record(g, gamma2_cache)
-            assert (gamma[mask], gamma_comp[mask]) == (rec.gamma, rec.gamma_comp), (n, mask)
+            assert (gamma[mask], gamma[-1 - mask]) == (rec.gamma, rec.gamma_comp), (n, mask)
 
 
 def test_table_matches_records_on_sampled_six_vertex_masks(gamma2_cache):
-    gamma, gamma_comp = enumeration_values(6)
+    gamma = enumeration_values(6)
     for mask in random.Random(6).sample(range(1 << 15), 2000):
         rec = ng_record(labeled_graph(6, mask), gamma2_cache)
-        assert (gamma[mask], gamma_comp[mask]) == (rec.gamma, rec.gamma_comp), mask
+        assert (gamma[mask], gamma[-1 - mask]) == (rec.gamma, rec.gamma_comp), mask
+
+
+def test_table_of_seven_vertices_reaches_the_third_mask_chunk(monkeypatch, gamma2_cache):
+    # the 21 edge bits at n = 7 span three 8-bit chunks of the orbit search,
+    # the only order whose masks reach bits 16-20
+    solved, solve = [], nordhaus.gamma_bnb
+    monkeypatch.setattr(nordhaus, "gamma_bnb", lambda g, *rest, **kw: solved.append(g) or solve(g, *rest, **kw))
+    gamma = enumeration_values(7)
+    assert len(solved) == 1044
+    for mask in random.Random(7).sample(range(1 << 21), 2000):
+        rec = ng_record(labeled_graph(7, mask), gamma2_cache)
+        assert (gamma[mask], gamma[-1 - mask]) == (rec.gamma, rec.gamma_comp), mask
 
 
 def test_table_of_the_smallest_orders():
     # the empty graph has value 0, so no entry's value says "not reached yet"
-    assert enumeration_values(0) == (bytearray([0]), bytearray([0]))
-    assert enumeration_values(1) == (bytearray([1]), bytearray([1]))
+    assert enumeration_values(0) == bytearray([0])
+    assert enumeration_values(1) == bytearray([1])
     # the two labeled graphs on 2 vertices are each other's complements
-    assert enumeration_values(2) == (bytearray([2, 2]), bytearray([2, 2]))
+    assert enumeration_values(2) == bytearray([2, 2])
 
 
 def test_table_refuses_orders_beyond_the_labeled_cap():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedSizeError, match="labeled enumeration caps at 7 vertices"):
         enumeration_values(LABELED_ENUM_MAX_VERTICES + 1)
 
 
-def test_orbits_are_the_isomorphism_classes():
-    # one orbit per class (OEIS A000088), together covering every mask once
-    for n, count in enumerate((1, 1, 2, 4, 11, 34, 156)):
-        orbits = [orbit for pair in nordhaus._edge_orbits(n) for orbit in pair if orbit]
-        assert len(orbits) == count
-        masks = sorted(mask for orbit in orbits for mask in orbit)
-        assert masks == list(range(1 << n * (n - 1) // 2))
+def test_table_solves_a_graph_and_its_complement_per_pair_of_classes(monkeypatch):
+    # one solve pair per complementary pair of classes: a solve per class
+    # (A000088) and a second one per self-complementary class (A000171)
+    classes = (1, 1, 2, 4, 11, 34, 156)
+    self_complementary = (1, 1, 0, 0, 1, 2, 0)
+    solved, solve = [], nordhaus.gamma_bnb
+    monkeypatch.setattr(nordhaus, "gamma_bnb", lambda g, *rest, **kw: solved.append(g) or solve(g, *rest, **kw))
+    for n in range(7):
+        solved.clear()
+        enumeration_values(n)
+        assert len(solved) == classes[n] + self_complementary[n], n
         if n <= 5:
-            forms = [{canonical_form(labeled_graph(n, mask)) for mask in orbit} for orbit in orbits]
-            assert all(len(form) == 1 for form in forms)
-            assert len(set.union(*forms)) == count
-
-
-def test_self_complementary_classes_share_both_values():
-    # P4 on 4 vertices, C5 and the bull on 5: their orbits hold their complements
-    for n, count in ((4, 1), (5, 2)):
-        gamma, gamma_comp = enumeration_values(n)
-        full = (1 << n * (n - 1) // 2) - 1
-        own = [orbit for orbit, co_orbit in nordhaus._edge_orbits(n) if not co_orbit]
-        assert len(own) == count
-        for orbit in own:
-            g = labeled_graph(n, orbit[0])
-            assert canonical_form(g) == canonical_form(complement(g))
-            assert full ^ orbit[0] in orbit
-            assert all(gamma[mask] == gamma_comp[mask] for mask in orbit)
+            assert len({canonical_form(g) for g in solved}) == classes[n], n
 
 
 # ---------------------------------------------------------------------------
