@@ -52,6 +52,7 @@ from typing import IO, Callable, Iterator, Optional, Sequence
 from .families import classify_graph
 from .graphs import (
     CANONICAL_MAX_VERTICES,
+    GRAPH6_HEADER,
     Graph,
     canonical_form,  # not called here; perfbench/spans.py traces this name
     complement,
@@ -67,7 +68,6 @@ from .nordhaus import (
     STATUS_AT_UPPER,
     STATUS_VIOLATION,
     GammaCache,
-    cache_keys,
     enumeration_values,
     extremal_ids,
     ng_record,
@@ -213,7 +213,7 @@ def _iter_inputs(cfg: Namespace) -> Iterator[tuple[int, Optional[str], Graph]]:
                     raise InputError(1, str(err)) from err
                 return
             first = False
-            if stripped == ">>graph6<<":
+            if stripped == GRAPH6_HEADER:
                 continue
             try:
                 yield lineno, stripped, parse_graph6(stripped)
@@ -274,12 +274,9 @@ def _stream(cfg: Namespace, pool: ProcessPoolExecutor | _InlinePool, window: int
             yield from pending.popleft().result()
         if table is None and cfg.table is not None and cfg.enumerate_n is not None:
             table = cfg.table(cfg.enumerate_n, cfg.budget)
-        seeds: GammaCache = {}
-        if table is not None:
-            for i, _, g in batch:
-                key, ckey = cache_keys(g)
-                # the complement of mask i - 1 is the mirror mask, at entry -i
-                seeds[key], seeds[ckey] = table[i - 1], table[-i]
+        # the complement of mask i - 1 is the mirror mask, at entry -i
+        seeds: GammaCache = ({} if table is None
+                             else {g: (table[i - 1], table[-i]) for i, _, g in batch})
         pending.append(pool.submit(_task, batch, seeds, cfg))
     while pending:
         yield from pending.popleft().result()
@@ -419,7 +416,7 @@ def _codec_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cf
     out = encode_graph6(g)
     if cfg.roundtrip and text is None:
         raise InputError(lineno, "--roundtrip needs graph6 input lines")
-    return out, (cfg.roundtrip and out != text.removeprefix(">>graph6<<"),)
+    return out, (cfg.roundtrip and out != text.removeprefix(GRAPH6_HEADER),)
 
 
 def run(argv: Sequence[str]) -> int:

@@ -20,7 +20,7 @@ GRAPH6_MAX_VERTICES = 62
 CANONICAL_MAX_VERTICES = 8
 LABELED_ENUM_MAX_VERTICES = 7
 
-_GRAPH6_HEADER = ">>graph6<<"
+GRAPH6_HEADER = ">>graph6<<"
 
 
 class UnsupportedSizeError(ValueError):
@@ -282,8 +282,8 @@ def parse_graph6(line: str) -> Graph:
     """
     text = line.rstrip("\r\n")
     base = 0
-    if text.startswith(_GRAPH6_HEADER):
-        base = len(_GRAPH6_HEADER)
+    if text.startswith(GRAPH6_HEADER):
+        base = len(GRAPH6_HEADER)
         text = text[base:]
     if not text:
         raise Graph6ParseError("empty graph6 line", base)

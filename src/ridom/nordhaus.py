@@ -18,7 +18,6 @@ from typing import Iterable, Optional
 
 from .families import is_five_cycle
 from .graphs import (
-    MAX_VERTICES,
     Graph,
     canonical_form,
     complement,
@@ -77,23 +76,8 @@ def _status(n: int, c5: bool, total: int) -> str:
     return STATUS_IN_RANGE
 
 
-# a key packs the rows n bits apiece (row v at bit n * v) above 7 bits of n
-GammaKey = int
-GammaCache = dict[GammaKey, int]
-# by n, the key bits that complementing flips: every row bit but the diagonal
-_OFFDIAG = tuple(
-    ((1 << n * n) - 1 ^ sum(1 << (n + 1) * v for v in range(n))) << 7
-    for n in range(MAX_VERTICES + 1)
-)
-
-
-def cache_keys(g: Graph) -> tuple[GammaKey, GammaKey]:
-    """The ``GammaCache`` keys of ``g`` and of its complement."""
-    packed = 0
-    for row in reversed(g.adj):
-        packed = packed << g.n | row
-    key = packed << 7 | g.n
-    return key, key ^ _OFFDIAG[g.n]
+# maps a graph to its value and its complement's
+GammaCache = dict[Graph, tuple[int, int]]
 
 
 def ng_record(
@@ -101,19 +85,17 @@ def ng_record(
 ) -> NGRecord:
     """Exact sum record for one graph, with its bound classification.
 
-    ``cache`` maps the keys of :func:`cache_keys` to known values and gains
-    the values solved here; the complement is built only when its value is
-    not in it.  Both solves run under ``budget`` (default: ``DEFAULT_BUDGET``)
-    and ask for the value only, so they skip the lex-min witness phase.
+    ``cache`` maps a graph to its value and its complement's, and gains the
+    pair solved here on a miss; the complement is built only then.  Both
+    solves run under ``budget`` (default: ``DEFAULT_BUDGET``) and ask for
+    the value only, so they skip the lex-min witness phase.
     """
     cache = {} if cache is None else cache
-    key, ckey = cache_keys(g)
-    gamma = cache.get(key)
-    if gamma is None:
-        gamma = cache[key] = gamma_bnb(g, 2, budget, lexmin=False).value
-    gamma_comp = cache.get(ckey)
-    if gamma_comp is None:
-        gamma_comp = cache[ckey] = gamma_bnb(complement(g), 2, budget, lexmin=False).value
+    pair = cache.get(g)
+    if pair is None:
+        pair = cache[g] = (gamma_bnb(g, 2, budget, lexmin=False).value,
+                           gamma_bnb(complement(g), 2, budget, lexmin=False).value)
+    gamma, gamma_comp = pair
     total = gamma + gamma_comp
     return NGRecord(
         graph6=encode_graph6(g),

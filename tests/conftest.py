@@ -12,10 +12,11 @@ from ridom.nordhaus import GammaCache
 
 @pytest.fixture(scope="session")
 def gamma2_cache() -> GammaCache:
-    """One shared memo for the 2-rainbow solver across the whole run.
+    """One shared ``ng_record`` cache across the whole run.
 
-    The acceptance sweeps and the Nordhaus-Gaddum tests hit the same
-    small graphs thousands of times; sharing the cache keeps the suite
-    inside its time budgets without changing any observable result.
+    The complement-sum window sweep and the value table tests ask for the
+    records of the same small graphs many times; sharing the cache, which
+    maps a graph to its value and its complement's, keeps the suite inside
+    its time budgets without changing any observable result.
     """
     return {}

@@ -8,6 +8,7 @@ solvers against each other, and every closed-form value against enumeration.
 
 import random
 import time
+from functools import lru_cache
 
 import pytest
 
@@ -29,7 +30,6 @@ from ridom.graphs import (
 from ridom.nordhaus import (
     STATUS_EXCEPTIONAL_C5,
     STATUS_VIOLATION,
-    cache_keys,
     is_five_cycle,
     ng_record,
 )
@@ -62,13 +62,10 @@ def finish(num: int, started: float, budget: float, problems: list, detail: str)
     assert elapsed < budget, f"criterion {num} took {elapsed:.2f}s, budget {budget}s"
 
 
-def gamma2(g: Graph, cache) -> int:
-    key = cache_keys(g)[0]
-    val = cache.get(key)
-    if val is None:
-        val = gamma_bnb(g, 2).value
-        cache[key] = val
-    return val
+@lru_cache(maxsize=None)
+def gamma2(g: Graph) -> int:
+    """The 2-rainbow value of ``g``, solved once per graph over the whole run."""
+    return gamma_bnb(g, 2).value
 
 
 def test_criterion_01_frozen_two_color_values():
@@ -102,7 +99,7 @@ def test_criterion_02_one_color_equals_independent_domination():
            f"{checked} graphs up to 6 vertices, up to isomorphism")
 
 
-def test_criterion_03_value_n_minus_1_families_are_complete(gamma2_cache):
+def test_criterion_03_value_n_minus_1_families_are_complete():
     started = time.perf_counter()
     problems = []
     checked = 0
@@ -112,14 +109,14 @@ def test_criterion_03_value_n_minus_1_families_are_complete(gamma2_cache):
             problems.append(f"expected 853 connected graphs at n=7, got {len(stream)}")
         for g in stream:
             hit = classify_connected(g) is not Family.NONE
-            if hit != (gamma2(g, gamma2_cache) == n - 1):
+            if hit != (gamma2(g) == n - 1):
                 problems.append(encode_graph6(g))
             checked += 1
     finish(3, started, 60.0, problems, f"{checked} connected graphs, 3 <= n <= 7")
 
 
 @pytest.mark.stretch
-def test_criterion_03_stretch_families_at_eight_vertices(gamma2_cache):
+def test_criterion_03_stretch_families_at_eight_vertices():
     started = time.perf_counter()
     problems = []
     stream = enumerate_nonisomorphic(8, connected=True)
@@ -127,21 +124,21 @@ def test_criterion_03_stretch_families_at_eight_vertices(gamma2_cache):
         problems.append(f"expected 11117 connected graphs at n=8, got {len(stream)}")
     for g in stream:
         hit = classify_connected(g) is not Family.NONE
-        if hit != (gamma2(g, gamma2_cache) == 7):
+        if hit != (gamma2(g) == 7):
             problems.append(encode_graph6(g))
     finish(3, started, 600.0, problems, f"stretch tier, {len(stream)} graphs at n=8")
 
 
-def test_criterion_04_value_n_exactly_for_tiny_components(gamma2_cache):
+def test_criterion_04_value_n_exactly_for_tiny_components():
     started = time.perf_counter()
     problems = []
     checked = 0
     for n in range(7):
         for g in enumerate_labeled_graphs(n):
             trivial = classify_graph(g).trivially_small
-            if trivial != (gamma2(g, gamma2_cache) == n):
+            if trivial != (gamma2(g) == n):
                 problems.append(f"equivalence: {encode_graph6(g)}")
-            if trivial and n >= 2 and gamma2(complement(g), gamma2_cache) != 2:
+            if trivial and n >= 2 and gamma2(complement(g)) != 2:
                 problems.append(f"complement clause: {encode_graph6(g)}")
             checked += 1
     finish(4, started, 60.0, problems, f"{checked} labeled graphs, n <= 6")
@@ -173,16 +170,16 @@ def test_criterion_05_complement_sum_window(gamma2_cache):
            f"{checked} graphs: labeled n <= 6 plus n = 7 up to isomorphism")
 
 
-def test_criterion_06_small_value_forces_small_complement(gamma2_cache):
+def test_criterion_06_small_value_forces_small_complement():
     started = time.perf_counter()
     problems = []
     checked = 0
     for n in range(4, 8):
         for g in enumerate_nonisomorphic(n):
-            if is_five_cycle(g) or gamma2(g, gamma2_cache) != 4:
+            if is_five_cycle(g) or gamma2(g) != 4:
                 continue
             checked += 1
-            if gamma2(complement(g), gamma2_cache) > n - 2:
+            if gamma2(complement(g)) > n - 2:
                 problems.append(encode_graph6(g))
     family_checked = 0
     for n in range(3, 9):
@@ -293,14 +290,14 @@ def test_criterion_10_greedy_extension_bound():
     finish(10, started, 30.0, problems, "500 seeded (graph, partial, order) triples")
 
 
-def test_criterion_11_double_star_sums(gamma2_cache):
+def test_criterion_11_double_star_sums():
     started = time.perf_counter()
     problems = []
     checked = 0
     for a in range(2, 6):
         for b in range(2, a + 1):
             g = double_star(a, b)
-            total = gamma2(g, gamma2_cache) + gamma2(complement(g), gamma2_cache)
+            total = gamma2(g) + gamma2(complement(g))
             if total != g.n + 1:
                 problems.append(f"S({a},{b}): sum {total}, want {g.n + 1}")
             checked += 1

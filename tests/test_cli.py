@@ -402,6 +402,18 @@ def test_codec_roundtrip_identity(tmp_path, capsys):
     assert last_json(out)["mismatches"] == 0
 
 
+def test_codec_skips_bare_header_lines(tmp_path, capsys):
+    src = write_lines(tmp_path / "in.g6", [">>graph6<<", "Bw", ">>graph6<<A_"])
+    assert run(["codec", "--roundtrip", "--input", src]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:2] == ["Bw", "A_"]
+    assert last_json(out) == {"command": "codec", "mismatches": 0, "records": 2, "roundtrip": True}
+    # the header keeps its line number, so a bad byte after it names line 2
+    src = write_lines(tmp_path / "bad.g6", [">>graph6<<", "B!"])
+    assert run(["codec", "--roundtrip", "--input", src]) == 2
+    assert capsys.readouterr() == ("", "error: input line 2: byte 1: byte 0x21 outside graph6 alphabet\n")
+
+
 def test_codec_converts_edge_lists(tmp_path, capsys):
     # the first non-blank line is the header, so the blank one is skipped
     src = tmp_path / "c4.txt"

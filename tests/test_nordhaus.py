@@ -37,7 +37,6 @@ from ridom.nordhaus import (
     STATUS_EXCEPTIONAL_C5,
     STATUS_IN_RANGE,
     STATUS_VIOLATION,
-    cache_keys,
     enumeration_values,
     is_five_cycle,
     ng_record,
@@ -110,17 +109,22 @@ def test_five_cycle_detection():
     assert not is_five_cycle(cycle_graph(4))
 
 
-def test_cache_keys_are_distinct_and_mirror_the_complement():
-    # n = 0 and n = 1 included: their graphs have no rows or no edge bits,
-    # so only the vertex count below the rows tells their keys apart
-    seen = set()
-    for n in range(6):
-        for g in enumerate_labeled_graphs(n):
-            key, ckey = cache_keys(g)
-            assert ckey == cache_keys(complement(g))[0]
-            assert key not in seen
-            seen.add(key)
-    assert len(seen) == 1 + 1 + 2 + 8 + 64 + 1024
+def test_cache_maps_a_graph_to_its_value_and_its_complements(monkeypatch):
+    solved = []
+    monkeypatch.setattr(nordhaus, "gamma_bnb", lambda g, *rest, **kw: solved.append(g) or gamma_bnb(g, *rest, **kw))
+    # a seeded pair answers the record without a solve, even a wrong pair
+    g = complete_graph(3)
+    rec = ng_record(g, {g: (7, 9)})
+    assert (rec.gamma, rec.gamma_comp, solved) == (7, 9, [])
+    # a miss solves the graph, then its complement, and stores both under it
+    cache = {}
+    rec = ng_record(g, cache)
+    assert solved == [g, complement(g)]
+    assert cache == {g: (2, 3)} and (rec.gamma, rec.gamma_comp) == (2, 3)
+    # an entry for K0 does not answer K1, though neither has an edge
+    solved.clear()
+    rec = ng_record(Graph.empty(1), {Graph.empty(0): (0, 0)})
+    assert (rec.gamma, rec.gamma_comp) == (1, 1) and len(solved) == 2
 
 
 # ---------------------------------------------------------------------------
