@@ -19,18 +19,18 @@ turns one input graph into its record, the tallies its summary sums, the
 options its summary echoes and an optional last step over the spooled
 records.  The parsed arguments are the run's configuration, which rows and
 pool workers receive as they are.  All subcommands run on one pipeline:
-``--workers N`` streams the input graphs through a process pool in tasks of
-``NG_CHUNK`` graphs, with at most ``2 * N`` tasks in flight (``--workers 1``
-runs the same tasks inline, one at a time).  The pool never has more
-processes than the machine has CPUs; the window stays ``2 * N`` whatever
-the pool's size.  Each task hands its rows a value cache, which only
-``ng``'s rows read and fill.  Under ``--enumerate N``, ``ng`` first builds a
-table of one value per edge mask, with the complement's at the mirror entry,
-solving one graph and its complement per complementary pair of isomorphism
-classes (:func:`~ridom.nordhaus.enumeration_values`).  It seeds each task's
-cache from it, so its rows never solve: 156 solver calls for the 32,768
-graphs on 6 vertices and 1,044 for the 2,097,152 on 7.  The report and the
-solver's work are the same on every run and for any worker count.
+``--workers N`` streams the input graphs through a pool of N processes, at
+most one per CPU, in tasks of ``NG_CHUNK`` graphs, with at most twice as
+many tasks in flight as the pool has processes (``--workers 1`` runs the
+same tasks inline, one at a time).  Each task hands its rows a value cache,
+which only ``ng``'s rows read and fill.  Under ``--enumerate N``, ``ng``
+first builds a table of one value per edge mask, with the complement's at
+the mirror entry, solving one graph and its complement per complementary
+pair of isomorphism classes (:func:`~ridom.nordhaus.enumeration_values`).
+It seeds each task's cache from it, so its rows never solve: 156 solver
+calls for the 32,768 graphs on 6 vertices and 1,044 for the 2,097,152 on 7.
+The report and the solver's work are the same on every run and for any
+worker count.
 """
 
 from __future__ import annotations
@@ -287,11 +287,12 @@ def _rows(cfg: Namespace) -> Iterator:
     if cfg.workers == 1:
         yield from _stream(cfg, _InlinePool(), window=1)
         return
-    # the first submit forks every worker, so the pool stops at the CPU count;
-    # the window stays 2N whatever the pool's size
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
+    # the first submit forks every worker, so the pool stops at the CPU count,
+    # and the window follows the pool
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            yield from _stream(cfg, pool, window=2 * cfg.workers)
+            yield from _stream(cfg, pool, window=2 * workers)
         except BaseException:
             # a failed run waits for none of the tasks still in flight
             for proc in pool._processes.values():

@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 GRAPH6_MAX_VERTICES = 62
@@ -425,78 +425,61 @@ def canonical_form(g: Graph) -> bytes:
 
     The value is the lexicographic minimum, over all vertex orderings, of the
     column-major upper-triangle adjacency bits, packed into bytes behind a
-    leading vertex-count byte.  Two graphs compare equal exactly when they are
-    isomorphic, and the value is the exact permutation minimum.
+    leading vertex-count byte, so two graphs compare equal exactly when they
+    are isomorphic.
 
-    The search places vertices one position at a time and keeps the unplaced
-    ones in an ordered partition: cells of equal column (the bits against
-    the placed vertices), in ascending column order.  Placing ``p`` splits
-    every cell into its non-neighbours and its neighbours of ``p``, so the
-    first cell always holds exactly the candidates of minimal column, the
-    only ones a minimal ordering can place next.  The search tries each of
-    them (one per twin class), drops a branch whose prefix already exceeds
-    the best string found, and closes a partition of single vertices in one
-    step, since the rest of the ordering is then forced.  Worst case
-    exponential, hence the hard cap of 8 vertices.
+    A partial ordering keeps its unplaced vertices in cells of equal column
+    (the bits against the placed vertices), in ascending column order, and
+    placing ``p`` splits each cell into its non-neighbours and neighbours of
+    ``p``.  Each level keeps the partial orderings tied for the least string;
+    it places each one's first-cell vertices (one per twin class), keeps the
+    splits whose first column is the level's least and appends that column to
+    the key.  That is exact: column d has d bits, so strings compare column by
+    column and a minimal ordering's prefixes are minimal; the first cell holds
+    exactly the unplaced vertices of least column; and swapping two twins is
+    an automorphism fixing every placed vertex.  A level holds at most 240
+    orderings at 8 vertices, but the search is worst case exponential, hence
+    the hard cap of 8 vertices.
     """
     if g.n > CANONICAL_MAX_VERTICES:
         raise UnsupportedSizeError(
             f"canonical form caps at {CANONICAL_MAX_VERTICES} vertices"
         )
     n = g.n
-    if n <= 1:
-        return bytes([n])
     adj = g.adj
-    total_bits = n * (n - 1) // 2
     class_id = _twin_classes(g)
-    best: Optional[int] = None
-
-    def descend(prefix: int, depth: int, cells: list[tuple[int, int]]) -> None:
-        # ``cells`` are the (column, vertex mask) pairs of the vertices not
-        # yet placed; ``prefix`` holds the columns of positions 0..depth,
-        # the last one being the first cell's
-        nonlocal best
-        depth += 1
-        shift = total_bits - depth * (depth + 1) // 2
-        first = cells[0][1]
-        tried = 0
-        while first:
-            low = first & -first
-            first ^= low
-            p = low.bit_length() - 1
-            cid = 1 << class_id[p]
-            if tried & cid:
-                continue
-            tried |= cid
-            row = adj[p]
-            split = []
-            for col, mask in cells:
-                mask &= ~low
-                if mask & ~row:
-                    split.append((col << 1, mask & ~row))
-                if mask & row:
-                    split.append((col << 1 | 1, mask & row))
-            child = prefix << depth | split[0][0]
-            if best is not None and child > best >> shift:
-                continue
-            if len(split) < n - depth:
-                descend(child, depth, split)
-                continue
-            # discrete: each later cell is the sole minimum in its turn, so
-            # the cell order is the rest of the ordering
-            order = [mask.bit_length() - 1 for _, mask in split]
-            for i in range(1, len(order)):
-                col = split[i][0]
-                row = adj[order[i]]
-                for u in order[:i]:
-                    col = col << 1 | (row >> u & 1)
-                child = child << depth + i | col
-            if best is None or child < best:
-                best = child
-
-    descend(0, 0, [(0, g.full_mask)])
-    assert best is not None
-    return bytes([n]) + best.to_bytes((total_bits + 7) // 8, "big")
+    key = 0
+    level = [[(0, g.full_mask)]]  # the (column, mask) cells of each tied ordering
+    for depth in range(1, n):
+        least = 1 << depth  # above every column of depth bits
+        kept = []
+        for cells in level:
+            first = cells[0][1]
+            tried = 0
+            while first:
+                low = first & -first
+                first ^= low
+                p = low.bit_length() - 1
+                cid = 1 << class_id[p]
+                if tried & cid:
+                    continue
+                tried |= cid
+                row = adj[p]
+                split = []
+                for col, mask in cells:
+                    mask &= ~low
+                    if mask & ~row:
+                        split.append((col << 1, mask & ~row))
+                    if mask & row:
+                        split.append((col << 1 | 1, mask & row))
+                col = split[0][0]
+                if col < least:
+                    least, kept = col, []
+                if col == least:
+                    kept.append(split)
+        key = key << depth | least
+        level = kept
+    return bytes([n]) + key.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
 def _with_new_vertex(g: Graph, nbr_mask: int) -> Graph:
@@ -526,7 +509,5 @@ def enumerate_nonisomorphic(n: int, connected: bool = False) -> tuple[Graph, ...
     for g in enumerate_nonisomorphic(n - 1):
         for mask in range(1 << (n - 1)):
             h = _with_new_vertex(g, mask)
-            key = canonical_form(h)
-            if key not in reps:
-                reps[key] = h
+            reps.setdefault(canonical_form(h), h)
     return tuple(reps[key] for key in sorted(reps))

@@ -589,6 +589,30 @@ def test_pool_stops_at_the_cpu_count(tmp_path, monkeypatch, cpus):
     assert reports[0] == reports[1]
 
 
+def test_window_follows_the_capped_pool(tmp_path, monkeypatch):
+    # on one CPU, --workers 3 runs one process, so it keeps two tasks in
+    # flight, not six
+    in_flight = []
+
+    class RecordingDeque(cli.deque):
+        def append(self, fut):
+            super().append(fut)
+            in_flight.append(len(self))
+
+    monkeypatch.setattr(cli, "deque", RecordingDeque)
+    monkeypatch.setattr(cli, "NG_CHUNK", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    reports, peaks = [], []
+    for workers in ("1", "3"):
+        in_flight.clear()
+        out = tmp_path / f"w{workers}.tsv"
+        assert run(["ng", "--enumerate", "4", "--workers", workers, "--out", str(out)]) == 0
+        reports.append(out.read_text(encoding="ascii"))
+        peaks.append(max(in_flight))
+    assert peaks == [1, 2]
+    assert reports[0] == reports[1]
+
+
 def test_traced_benchmark_names_still_resolve(tmp_path, monkeypatch):
     # perfbench/spans.py replaces these names to trace a run, and fails on
     # one that is gone; the CLI must also still look them up where it runs

@@ -309,14 +309,18 @@ TIE_HEAVY = {
     "Wagner": Graph.from_edges(8, [(i, (i + s) % 8) for i in range(8) for s in (1, 4)]),
     "complement of C8": complement(cycle_graph(8)),
     "2C4": disjoint_union(cycle_graph(4), cycle_graph(4)),
+    # the widest levels of the search over every 8-vertex class: 240
+    # partial orderings tied for the least string
+    "GiC_??": parse_graph6("GiC_??"),
+    "G?AAF?": parse_graph6("G?AAF?"),
 }
 
 
 @pytest.mark.parametrize("name", list(TIE_HEAVY))
 def test_canonical_agrees_with_permutation_minimum_on_tie_heavy_graphs(name):
     # vertex-transitive and twin-rich graphs keep many vertices tied in the
-    # first cell for several levels: the most branching and the most
-    # partitions closed in one step
+    # first cell for several levels, so many partial orderings stay tied for
+    # the least string at once
     g = TIE_HEAVY[name]
     perm = random.Random(name).sample(range(g.n), g.n)
     assert canonical_form(relabel(g, perm)) == brute_canonical(g)
