@@ -208,9 +208,9 @@ def _iter_inputs(cfg: Namespace) -> Iterator[tuple[int, Optional[str], Graph]]:
                 continue
             if first and looks_like_edge_list(stripped):
                 try:
-                    yield 1, None, parse_edge_list(raw + fh.read())
+                    yield lineno, None, parse_edge_list(raw + fh.read())
                 except ValueError as err:
-                    raise InputError(1, str(err)) from err
+                    raise InputError(lineno, str(err)) from err
                 return
             first = False
             if stripped == GRAPH6_HEADER:
@@ -225,17 +225,14 @@ def _write_report(cfg: Namespace, spool: IO[str], summary: dict) -> None:
     """Copy the spooled record lines, then the JSON summary line, to the report:
     called once the stream has succeeded, so a failed run leaves no report."""
     spool.seek(0)
-    tail = json.dumps(summary, sort_keys=True) + "\n"
-    if cfg.out_path is None:
-        shutil.copyfileobj(spool, sys.stdout)
+    sink = (nullcontext(sys.stdout) if cfg.out_path is None
+            else open(cfg.out_path, "w", encoding="ascii"))
+    with sink as fh:
+        shutil.copyfileobj(spool, fh)
+        fh.write(json.dumps(summary, sort_keys=True) + "\n")
         # flushed here, so a vanished reader surfaces as an exit code
         # rather than as an error at interpreter shutdown
-        sys.stdout.write(tail)
-        sys.stdout.flush()
-    else:
-        with open(cfg.out_path, "w", encoding="ascii") as fh:
-            shutil.copyfileobj(spool, fh)
-            fh.write(tail)
+        fh.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -60,13 +60,13 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        adj = self.adj
+        # row v is in range before its probes, so each adj[u] below exists
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        adj = self.adj
-        for v, row in enumerate(adj):
             while row:
                 low = row & -row
                 u = low.bit_length() - 1

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, bits, components, prism_product
+from .graphs import Graph, bits, components, induced_subgraph, prism_product
 
 VIOLATION_DEPENDENT = "color-class-not-independent"
 VIOLATION_UNCOVERED = "zero-vertex-misses-color"
@@ -56,6 +56,15 @@ class SolverBudget:
 DEFAULT_BUDGET = SolverBudget()
 
 
+def _check_labels(k: int, labels: Iterable[Optional[int]]) -> None:
+    """Refuse k < 1 and any label outside ``0..k``; ``None`` (unassigned) passes."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    for v, lab in enumerate(labels):
+        if lab is not None and not 0 <= lab <= k:
+            raise ValueError(f"label {lab} at vertex {v} outside 0..{k}")
+
+
 @dataclass(frozen=True)
 class Labeling:
     """A total assignment of labels ``0..k``, one per vertex."""
@@ -64,11 +73,7 @@ class Labeling:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        for v, lab in enumerate(self.labels):
-            if not 0 <= lab <= self.k:
-                raise ValueError(f"label {lab} at vertex {v} outside 0..{self.k}")
+        _check_labels(self.k, self.labels)
 
     def to_text(self) -> str:
         return " ".join(str(lab) for lab in self.labels)
@@ -86,11 +91,7 @@ class PartialLabeling:
     assigned: tuple[Optional[int], ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        for v, lab in enumerate(self.assigned):
-            if lab is not None and not 0 <= lab <= self.k:
-                raise ValueError(f"label {lab} at vertex {v} outside 0..{self.k}")
+        _check_labels(self.k, self.assigned)
 
     def unassigned(self) -> tuple[int, ...]:
         return tuple(v for v, lab in enumerate(self.assigned) if lab is None)
@@ -215,7 +216,9 @@ def extend_greedy(g: Graph, partial: PartialLabeling, order: Sequence[int]) -> L
     gets the smallest color whose class it is not adjacent to, or 0 when every
     color class already meets its neighborhood.  The result is feasible and
     keeps the original zero class zero, so its weight is at most
-    ``g.n - |zero class of partial|``.
+    ``g.n - |zero class of partial|``.  ``validate`` checks the assigned part
+    on the subgraph it induces; its first violation, in ``g``'s numbering,
+    raises ``ValueError``.
     """
     if len(partial.assigned) != g.n:
         raise ValueError(f"partial covers {len(partial.assigned)} vertices, graph has {g.n}")
@@ -223,26 +226,11 @@ def extend_greedy(g: Graph, partial: PartialLabeling, order: Sequence[int]) -> L
         raise ValueError("order must list exactly the unassigned vertices")
     k = partial.k
     labels = list(partial.assigned)
-    masks = [0] * (k + 1)
-    assigned_mask = 0
-    for v, lab in enumerate(labels):
-        if lab is not None:
-            assigned_mask |= 1 << v
-            if lab:
-                masks[lab] |= 1 << v
-    # the assigned part must already be feasible on its induced subgraph
-    for v, lab in enumerate(labels):
-        if lab is None:
-            continue
-        if lab:
-            if g.adj[v] & masks[lab]:
-                raise ValueError(f"partial labeling has adjacent {lab}-vertices at {v}")
-        else:
-            for color in range(1, k + 1):
-                if not g.adj[v] & masks[color] & assigned_mask:
-                    raise ValueError(
-                        f"partial labeling leaves zero-vertex {v} without color {color}"
-                    )
+    sub, vmap = induced_subgraph(g, sum(1 << v for v, lab in enumerate(labels) if lab is not None))
+    for bad in validate(sub, Labeling(k, tuple(labels[v] for v in vmap))):
+        where = ", ".join(str(vmap[u]) for u in bad.vertices)
+        raise ValueError(f"partial labeling: {bad.kind} at vertices {where}, color {bad.color}")
+    masks = _class_masks(labels, k)
     for x in order:
         for color in range(1, k + 1):
             if not g.adj[x] & masks[color]:
@@ -315,16 +303,17 @@ def _bnb_component(
     - Witness.  The lex-min optimum uses its colors in first-use order
       (swapping c and c + 1 where c + 1 comes first gives a lex-smaller
       optimum), so the best solution found is kept relabeled that way.
-      Vertices are then fixed in index order.  At v, each label below the
-      kept solution's, which is at most ``m + 1``, gets a decision search
-      for weight <= value from the fixed prefix, and the first that succeeds
-      replaces the kept solution; if none does, v keeps its label without a
-      search.  Labels that cannot work are skipped unsearched: 0 at a vertex
-      of degree < k, and a color that a neighbor in the prefix carries.  A
-      label below ``m + 1`` opens no new color, so the prefix stays in
-      first-use order.  With ``lexmin=False`` this phase is skipped: the
-      witness is the first phase's best solution, optimal but not
-      necessarily lex-min, and the node count is the first phase's alone.
+      Vertices are then fixed in index order.  At v, one step places each
+      label in turn on the fixed prefix, up to the kept solution's, which is
+      at most ``m + 1``.  A label below it gets a decision search for weight
+      <= value, and the first that succeeds replaces the kept solution and
+      fixes v; the kept label itself is placed without a search.  Labels
+      that cannot work are skipped unsearched: 0 at a vertex of degree < k,
+      and a color that a neighbor in the prefix carries.  A label below
+      ``m + 1`` opens no new color, so the prefix stays in first-use order.
+      With ``lexmin=False`` this phase is skipped: the witness is the first
+      phase's best solution, optimal but not necessarily lex-min, and the
+      node count is the first phase's alone.
 
     Raises :class:`BudgetExceededError` once this search's nodes plus the
     ``spent`` ones (on the graph's earlier components) exceed ``max_nodes``.
@@ -439,32 +428,24 @@ def _bnb_component(
     if not lexmin:
         return value, witness, nodes
     first = True
-    chosen = dom = size = m = 0
-    free = full
+    state = (0, 0, full, 0, 0)
     for v in range(n):
+        chosen, dom, free, size, m = state
         # a vertex of degree < k is never 0
-        for lab in range(adj[v].bit_count() < k, witness[v]):
+        for lab in range(adj[v].bit_count() < k, witness[v] + 1):
             if lab:
                 p = v * k + lab - 1
                 if not free >> p & 1:
                     continue  # a neighbor in the prefix has this color
-                trial = (chosen | 1 << p, dom | closed[p], free & ~closed[p], size + 1, m)
+                state = (chosen | 1 << p, dom | closed[p], free & ~closed[p], size + 1, max(m, lab))
             else:
-                trial = (chosen, dom, free & ~(layer << v * k), size, m)
+                state = (chosen, dom, free & ~(layer << v * k), size, m)
+            if lab == witness[v]:
+                break
             best = value + 1
-            if search(*trial):
+            if search(*state):
                 witness = labels_of(best_set)
                 break
-        lab = witness[v]
-        if lab:
-            p = v * k + lab - 1
-            chosen |= 1 << p
-            dom |= closed[p]
-            free &= ~closed[p]
-            size += 1
-            m = max(m, lab)
-        else:
-            free &= ~(layer << v * k)
     return value, witness, nodes
 
 

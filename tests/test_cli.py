@@ -423,6 +423,21 @@ def test_codec_converts_edge_lists(tmp_path, capsys):
     assert out.splitlines()[0] == encode_graph6(cycle_graph(4))
 
 
+@pytest.mark.parametrize("blanks", [0, 2])
+def test_edge_list_parse_error_names_the_header_line(monkeypatch, capsys, blanks):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n" * blanks + "3 2\n0 1\n1 5\n"))
+    assert run(["classify"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: input line {blanks + 1}: edge (1, 5) outside vertex range 0..2\n")
+
+
+@pytest.mark.parametrize("blanks", [0, 2])
+def test_edge_list_row_error_names_the_header_line(monkeypatch, capsys, blanks):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n" * blanks + "3 3\n0 1\n1 2\n0 2\n"))
+    assert run(["reduce"]) == 2
+    assert capsys.readouterr() == ("", f"error: input line {blanks + 1}: graph is not bipartite\n")
+
+
 def test_codec_roundtrip_needs_graph6(tmp_path, capsys):
     for source in ("--enumerate", "--noniso"):
         assert run(["codec", "--roundtrip", source, "3"]) == 2

@@ -21,14 +21,17 @@ from ridom.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    double_star,
     encode_graph6,
     enumerate_labeled_graphs,
     enumerate_nonisomorphic,
     induced_subgraph,
     is_connected,
     path_graph,
+    relabel,
     star_graph,
 )
+from ridom.reduction import bipartition, build_reduction
 from ridom.solver import (
     VIOLATION_DEPENDENT,
     VIOLATION_UNCOVERED,
@@ -337,6 +340,35 @@ def test_bnb_node_counts_on_mid_density_graphs():
     assert gamma_bnb(random_graph(random.Random(0), 26, 0.2), 3).nodes_explored <= 50_000
 
 
+def test_bnb_node_counts_of_both_phases():
+    # exact counts at lexmin=False and True, so a change to either phase
+    # that alters the search shows here
+    p6 = path_graph(6)
+    for g, k, counts in [(cycle_graph(30), 2, (33, 75)),
+                         (double_star(9, 8), 2, (61, 188)),
+                         (build_reduction(p6, bipartition(p6), 3).target, 3, (8_073, 8_122))]:
+        assert tuple(gamma_bnb(g, k, lexmin=lexmin).nodes_explored
+                     for lexmin in (False, True)) == counts, (encode_graph6(g), k)
+
+
+def test_bnb_values_agree_under_relabeling():
+    # the branching order follows the vertex labels, so a wrong prune
+    # usually moves the value under relabeling: a check with no oracle and
+    # no size limit.  k=3 stops at n=26: at n=30-34 one solve takes
+    # 0.3-1.7 s
+    rng = random.Random(1)
+    for k, count, top in ((2, 10, 40), (3, 6, 26)):
+        for _ in range(count):
+            g = random_graph(rng, rng.randint(22, top), rng.uniform(0.1, 0.3))
+            values = set()
+            for perm in [range(g.n)] + [rng.sample(range(g.n), g.n) for _ in range(3)]:
+                h = relabel(g, perm)
+                res = gamma_bnb(h, k, lexmin=False)
+                assert validate(h, res.witness) == [], (encode_graph6(h), k)
+                values.add(res.value)
+            assert len(values) == 1, (encode_graph6(g), k, values)
+
+
 def test_one_color_value_is_independent_domination():
     for n in range(1, 6):
         for g in enumerate_nonisomorphic(n):
@@ -392,10 +424,13 @@ def test_extension_rejects_wrong_order_set():
 
 def test_extension_rejects_infeasible_partial():
     k2 = complete_graph(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=VIOLATION_DEPENDENT):
         extend_greedy(k2, PartialLabeling(2, (1, 1)), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=VIOLATION_UNCOVERED):
         extend_greedy(path_graph(3), PartialLabeling(2, (0, None, None)), (1, 2))
+    # the violation names the vertices of the graph, not of the assigned part
+    with pytest.raises(ValueError, match=f"{VIOLATION_DEPENDENT} at vertices 1, 2, color 1"):
+        extend_greedy(path_graph(4), PartialLabeling(2, (None, 1, 1, None)), (0, 3))
 
 
 def test_extension_order_changes_the_labels_not_validity():
