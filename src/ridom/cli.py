@@ -186,8 +186,9 @@ def _build_parser() -> ArgumentParser:
     return parser
 
 
-def _iter_inputs(cfg: Namespace) -> Iterator[tuple[int, Optional[str], Graph]]:
-    """Yield (line number, graph6 text or None, graph) from the configured source.
+def _iter_inputs(cfg: Namespace) -> Iterator[tuple[int, Optional[str], Optional[Graph]]]:
+    """Yield (line number, None, graph) from the configured source, or
+    (line number, graph6 line, None) for a graph6 line, which its task parses.
 
     Input is read a line at a time, unless its first non-blank line is an
     ``n m`` header: then it is one edge-list graph, read whole."""
@@ -213,12 +214,8 @@ def _iter_inputs(cfg: Namespace) -> Iterator[tuple[int, Optional[str], Graph]]:
                     raise InputError(lineno, str(err)) from err
                 return
             first = False
-            if stripped == GRAPH6_HEADER:
-                continue
-            try:
-                yield lineno, stripped, parse_graph6(stripped)
-            except ValueError as err:
-                raise InputError(lineno, str(err)) from err
+            if stripped != GRAPH6_HEADER:
+                yield lineno, stripped, None
 
 
 def _write_report(cfg: Namespace, spool: IO[str], summary: dict) -> None:
@@ -249,8 +246,19 @@ class _InlinePool:
 
 
 def _task(items: list, cache: GammaCache, cfg: Namespace) -> list:
-    """One task: the rows of ``items``, which share the value cache ``cache``."""
-    return [cfg.row(lineno, text, g, cache, cfg) for lineno, text, g in items]
+    """One task: the rows of ``items`` of order ``--min-n`` or more, which
+    share the value cache ``cache``.  Graph6 lines are parsed here, in turn
+    with the rows, so the first failing line fails the run."""
+    rows = []
+    for lineno, text, g in items:
+        if g is None:
+            try:
+                g = parse_graph6(text)
+            except ValueError as err:
+                raise InputError(lineno, str(err)) from err
+        if g.n >= cfg.min_n:
+            rows.append(cfg.row(lineno, text, g, cache, cfg))
+    return rows
 
 
 def _stream(cfg: Namespace, pool: ProcessPoolExecutor | _InlinePool, window: int) -> Iterator:
@@ -263,13 +271,14 @@ def _stream(cfg: Namespace, pool: ProcessPoolExecutor | _InlinePool, window: int
     complements.  The table is built when the first task is, so a stream
     that fails at once or has no graph of order ``--min-n`` builds none.
     """
-    items = (item for item in _iter_inputs(cfg) if item[2].n >= cfg.min_n)
+    items = _iter_inputs(cfg)
     table = None
     pending: deque[Future] = deque()
     while batch := list(itertools.islice(items, NG_CHUNK)):
         if len(pending) == window:
             yield from pending.popleft().result()
-        if table is None and cfg.table is not None and cfg.enumerate_n is not None:
+        if (table is None and cfg.table is not None and cfg.enumerate_n is not None
+                and cfg.enumerate_n >= cfg.min_n):
             table = cfg.table(cfg.enumerate_n, cfg.budget)
         # the complement of mask i - 1 is the mirror mask, at entry -i
         seeds: GammaCache = ({} if table is None

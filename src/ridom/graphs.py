@@ -155,6 +155,19 @@ def induced_subgraph(g: Graph, vertex_mask: int) -> tuple[Graph, tuple[int, ...]
     return Graph(len(vmap), tuple(rows)), vmap
 
 
+def bfs_layers(g: Graph, seed: int) -> Iterator[int]:
+    """Yield the breadth-first layers of the vertex mask ``seed`` as vertex
+    masks: ``seed`` itself, then the vertices at distance 1, 2, ... from it."""
+    seen = layer = seed
+    while layer:
+        yield layer
+        grow = 0
+        for v in bits(layer):
+            grow |= g.adj[v]
+        layer = grow & ~seen
+        seen |= layer
+
+
 def components(g: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
     """Split ``g`` into connected components, ordered by smallest vertex.
 
@@ -163,15 +176,8 @@ def components(g: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
     remaining = g.full_mask
     parts = []
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & ~comp
-            comp |= grow
+        # the layers are disjoint, so their sum is the component
+        comp = sum(bfs_layers(g, remaining & -remaining))
         if comp == g.full_mask:
             # connected: the graph is its own single part, already validated
             return ((g, tuple(range(g.n))),)
@@ -182,6 +188,21 @@ def components(g: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
 
 def is_connected(g: Graph) -> bool:
     return len(components(g)) <= 1
+
+
+def prism_closed_rows(adj: Sequence[int], k: int) -> list[int]:
+    """The closed neighborhoods in :func:`prism_product` of the graph with rows
+    ``adj``, with no vertex cap: entry ``v*k + c`` is vertex ``(v, c + 1)``'s."""
+    layer = (1 << k) - 1
+    closed = []
+    for v, row in enumerate(adj):
+        nbrs = 0
+        while row:
+            low = row & -row
+            nbrs |= 1 << (low.bit_length() - 1) * k
+            row ^= low
+        closed += [layer << v * k | nbrs << c for c in range(k)]
+    return closed
 
 
 def prism_product(g: Graph, k: int) -> Graph:
@@ -196,15 +217,8 @@ def prism_product(g: Graph, k: int) -> Graph:
         raise ValueError("layer count k must be at least 1")
     if g.n * k > MAX_VERTICES:
         raise UnsupportedSizeError(f"product has {g.n * k} vertices, cap is {MAX_VERTICES}")
-    rows = []
-    for v in range(g.n):
-        layer_block = ((1 << k) - 1) << (v * k)
-        for i in range(k):
-            row = layer_block & ~(1 << (v * k + i))
-            for u in bits(g.adj[v]):
-                row |= 1 << (u * k + i)
-            rows.append(row)
-    return Graph(g.n * k, tuple(rows))
+    rows = prism_closed_rows(g.adj, k)
+    return Graph(g.n * k, tuple(row & ~(1 << p) for p, row in enumerate(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +248,7 @@ def star_plus_edge(leaves: int) -> Graph:
     """Star on ``leaves >= 2`` pendants with one extra edge between leaves 1 and 2."""
     if leaves < 2:
         raise ValueError("need at least two leaves to join")
-    g = star_graph(leaves)
-    rows = list(g.adj)
-    rows[1] |= 1 << 2
-    rows[2] |= 1 << 1
-    return Graph(g.n, tuple(rows))
+    return Graph.from_edges(leaves + 1, [*star_graph(leaves).edges(), (1, 2)])
 
 
 def double_star(a: int, b: int) -> Graph:
@@ -264,6 +274,18 @@ def double_star(a: int, b: int) -> Graph:
 def _triangle_pairs(n: int) -> tuple[tuple[int, int], ...]:
     # graph6 bit order: column-major upper triangle
     return tuple((i, j) for j in range(1, n) for i in range(j))
+
+
+def _graph_of_pairs(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> Graph:
+    """The graph on ``n`` vertices with edge ``pairs[b]`` for each set bit ``b`` of ``mask``."""
+    rows = [0] * n
+    while mask:
+        low = mask & -mask
+        i, j = pairs[low.bit_length() - 1]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        mask ^= low
+    return Graph(n, tuple(rows))
 
 
 def _byte_name(ch: str) -> str:
@@ -313,13 +335,8 @@ def parse_graph6(line: str) -> Graph:
     pad = 6 * need - nbits
     if pad and bitstream & ((1 << pad) - 1):
         raise Graph6ParseError("nonzero padding bits", base + need)
-    bitstream >>= pad
-    rows = [0] * n
-    for t, (i, j) in enumerate(_triangle_pairs(n)):
-        if bitstream >> (nbits - 1 - t) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    # the last bit of the section is bit 0 of the stream, so the pairs go last first
+    return _graph_of_pairs(n, _triangle_pairs(n)[::-1], bitstream >> pad)
 
 
 def encode_graph6(g: Graph) -> str:
@@ -371,20 +388,15 @@ def parse_edge_list(text: str) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+def labeled_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pair of each edge bit of :func:`labeled_graph`'s mask:
+    bit ``b`` is the ``b``-th pair in lexicographic order (01, 02, ..., 12, ...)."""
     return tuple(itertools.combinations(range(n), 2))
 
 
 def labeled_graph(n: int, mask: int) -> Graph:
-    """The graph on ``n`` vertices with edge mask ``mask``: bit ``b`` is the
-    ``b``-th vertex pair in lexicographic order (01, 02, ..., 12, ...)."""
-    pairs = _vertex_pairs(n)
-    rows = [0] * n
-    for b in bits(mask):
-        i, j = pairs[b]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    """The graph on ``n`` vertices with edge mask ``mask`` (see :func:`labeled_pairs`)."""
+    return _graph_of_pairs(n, labeled_pairs(n), mask)
 
 
 def labeled_masks(n: int) -> range:

@@ -24,6 +24,7 @@ from .graphs import (
     encode_graph6,
     labeled_graph,
     labeled_masks,
+    labeled_pairs,
     parse_graph6,
 )
 from .solver import SolverBudget, gamma_bnb
@@ -131,8 +132,7 @@ def enumeration_values(n: int, budget: Optional[SolverBudget] = None) -> bytearr
     masks = labeled_masks(n)
     gamma = bytearray([_UNSET]) * len(masks)
     full = masks[-1]
-    # the vertex pair of each edge bit, in bit order
-    bit_of = {next(labeled_graph(n, 1 << b).edges()): b for b in range(full.bit_length())}
+    bit_of = {pair: b for b, pair in enumerate(labeled_pairs(n))}
     generators = []
     for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)) if n >= 2 else ():
         images = [1 << bit_of[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in bit_of]

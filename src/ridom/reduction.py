@@ -17,37 +17,25 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .graphs import Graph, MAX_VERTICES, UnsupportedSizeError, bits, encode_graph6, parse_graph6
+from .graphs import Graph, MAX_VERTICES, UnsupportedSizeError, bfs_layers, encode_graph6, parse_graph6
 from .solver import Labeling, SolverBudget, domination_number, gamma_bnb, validate
 
 
 def bipartition(g: Graph) -> Optional[tuple[int, int]]:
-    """Two-color ``g`` by BFS, or None if some component is odd-cyclic.
+    """Two-color ``g`` by breadth-first layers, or None if some component is odd-cyclic.
 
-    Deterministic: the smallest vertex of each component lands in the first
-    part.  Returns the parts as bit masks.
+    The even layers from each component's smallest vertex form the first
+    part and the odd ones the second.  Returns the parts as bit masks.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in bits(g.adj[v]):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    x = 0
-    y = 0
-    for v, c in enumerate(color):
-        if c == 0:
-            x |= 1 << v
-        else:
-            y |= 1 << v
+    parts = [0, 0]
+    remaining = g.full_mask
+    while remaining:
+        for depth, layer in enumerate(bfs_layers(g, remaining & -remaining)):
+            parts[depth & 1] |= layer
+            remaining &= ~layer
+    x, y = parts
+    if any(row & (x if x >> v & 1 else y) for v, row in enumerate(g.adj)):
+        return None
     return x, y
 
 

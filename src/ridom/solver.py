@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, bits, components, induced_subgraph, prism_product
+from .graphs import Graph, bits, components, induced_subgraph, prism_closed_rows, prism_product
 
 VIOLATION_DEPENDENT = "color-class-not-independent"
 VIOLATION_UNCOVERED = "zero-vertex-misses-color"
@@ -327,15 +327,7 @@ def _bnb_component(
         beyond[c] = beyond[c + 1] | full // layer << c
     upto = [full & ~beyond[m + 1] for m in range(k + 1)]
     # closed[v*k + c]: the pairs that (v, c) dominates, itself included
-    closed = []
-    for v in range(n):
-        nbrs = 0
-        row = adj[v]
-        while row:
-            low = row & -row
-            nbrs |= 1 << (low.bit_length() - 1) * k
-            row ^= low
-        closed += [layer << v * k | nbrs << c for c in range(k)]
+    closed = prism_closed_rows(adj, k)
     forced = [layer << v * k for v in range(n) if adj[v].bit_count() < k]
     nodes = 0
     # the search prunes at weight ``best`` and records each set it completes;
@@ -487,15 +479,11 @@ def _check_subset_budget(n: int, budget: SolverBudget) -> None:
         )
 
 
-def _closed_neighborhoods(g: Graph) -> list[int]:
-    return [row | 1 << v for v, row in enumerate(g.adj)]
-
-
 def _smallest_dominating(g: Graph, budget: SolverBudget | None, independent: bool) -> SetResult:
     """Smallest dominating set, independent when asked, by increasing-size subset scan."""
     budget = budget or DEFAULT_BUDGET
     _check_subset_budget(g.n, budget)
-    closed = _closed_neighborhoods(g)
+    closed = prism_closed_rows(g.adj, 1)
     examined = 0
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):

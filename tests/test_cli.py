@@ -348,6 +348,16 @@ def test_reduce_names_the_non_bipartite_line_under_every_worker_count(monkeypatc
     assert captured.err == "error: input line 2: graph is not bipartite\n"
 
 
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+@pytest.mark.parametrize("lines", [["Bw", "bad!"], ["Bw"] + ["A_"] * 1200 + ["bad!"]],
+                         ids=["next-line", "later-task"])
+def test_first_failing_line_is_named_under_every_worker_count(monkeypatch, capsys, workers, lines):
+    # line 1 fails its row; a later line that does not parse must not overtake it
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    assert run(["reduce", "--workers", workers]) == 2
+    assert capsys.readouterr() == ("", "error: input line 1: graph is not bipartite\n")
+
+
 def test_failed_pool_run_waits_for_no_task_in_flight(monkeypatch, capsys):
     # line 1 fails at once, while each later task would take a minute
     monkeypatch.setattr(cli, "NG_CHUNK", 1)

@@ -277,6 +277,19 @@ def test_prism_layer_adjacency():
     assert g == complete_graph(3)
 
 
+def test_prism_matches_its_definition_up_to_four_vertices():
+    # (v, i) and (u, j) are adjacent iff v = u and i != j, or i = j and uv
+    # is an edge
+    for n in range(5):
+        for g in enumerate_labeled_graphs(n):
+            for k in range(1, 4):
+                prism = prism_product(g, k)
+                for (v, i), (u, j) in itertools.product(itertools.product(range(n), range(k)),
+                                                        repeat=2):
+                    expected = (v == u and i != j) or (i == j and g.has_edge(u, v))
+                    assert prism.has_edge(v * k + i, u * k + j) == expected, (g, k)
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from ridom.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    enumerate_labeled_graphs,
     enumerate_nonisomorphic,
     encode_graph6,
     path_graph,
@@ -64,6 +65,19 @@ def test_bipartition_starts_each_component_in_the_first_part():
     x, y = bipartition(g)
     assert x == 0b01101  # vertices 0, 2, 3
     assert y == 0b10010
+
+
+def test_bipartition_agrees_with_brute_force_up_to_five_vertices():
+    # two proper 2-colorings differ on whole components, so the first vertex
+    # where they differ is the least of such a component: the wanted coloring
+    # is the one whose first part reads greatest in vertex order
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            proper = [x for x in range(1 << n)
+                      if not any(g.adj[v] & (x if x >> v & 1 else g.full_mask ^ x)
+                                 for v in range(n))]
+            x = max(proper, key=lambda x: [x >> v & 1 for v in range(n)], default=None)
+            assert bipartition(g) == (None if x is None else (x, g.full_mask ^ x)), g
 
 
 def test_bipartition_parts_are_genuinely_independent():
