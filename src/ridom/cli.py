@@ -22,15 +22,15 @@ pool workers receive as they are.  All subcommands run on one pipeline:
 ``--workers N`` streams the input graphs through a pool of N processes, at
 most one per CPU, in tasks of ``NG_CHUNK`` graphs, with at most twice as
 many tasks in flight as the pool has processes (``--workers 1`` runs the
-same tasks inline, one at a time).  Each task hands its rows a value cache,
-which only ``ng``'s rows read and fill.  Under ``--enumerate N``, ``ng``
-first builds a table of one value per edge mask, with the complement's at
-the mirror entry, solving one graph and its complement per complementary
-pair of isomorphism classes (:func:`~ridom.nordhaus.enumeration_values`).
-It seeds each task's cache from it, so its rows never solve: 156 solver
-calls for the 32,768 graphs on 6 vertices and 1,044 for the 2,097,152 on 7.
-The report and the solver's work are the same on every run and for any
-worker count.
+same tasks inline, one at a time).  A task parses its graph6 lines and runs
+their rows, and names the input line of the first that fails.  Under
+``--enumerate N``, ``ng`` first builds a table of one value per edge mask,
+with the complement's at the mirror entry, solving one graph and its
+complement per complementary pair of isomorphism classes
+(:func:`~ridom.nordhaus.enumeration_values`).  Each graph travels with its
+two table values, so its row never solves: 156 solver calls for the 32,768
+graphs on 6 vertices and 1,044 for the 2,097,152 on 7.  The report and the
+solver's work are the same on every run and for any worker count.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .nordhaus import (
     ALL_STATUSES,
     STATUS_AT_UPPER,
     STATUS_VIOLATION,
-    GammaCache,
     enumeration_values,
     extremal_ids,
     ng_record,
@@ -93,7 +92,7 @@ NG_CHUNK = 512
 
 
 class InputError(ValueError):
-    """Malformed input, tagged with the 1-based line it came from."""
+    """The failure of one input line, tagged with its 1-based number."""
 
     def __init__(self, line: int, reason: str):
         super().__init__(f"input line {line}: {reason}")
@@ -186,17 +185,27 @@ def _build_parser() -> ArgumentParser:
     return parser
 
 
-def _iter_inputs(cfg: Namespace) -> Iterator[tuple[int, Optional[str], Optional[Graph]]]:
-    """Yield (line number, None, graph) from the configured source, or
-    (line number, graph6 line, None) for a graph6 line, which its task parses.
+_Item = tuple[int, Optional[str], Optional[Graph], Optional[tuple[int, int]]]
 
-    Input is read a line at a time, unless its first non-blank line is an
-    ``n m`` header: then it is one edge-list graph, read whole."""
+
+def _iter_inputs(cfg: Namespace) -> Iterator[_Item]:
+    """Yield (line number, graph6 line or None, graph or None, known values or
+    None) from the configured source.  A graph6 line comes without its graph,
+    which its task parses.  Values are known only from a subcommand's value
+    table (``cfg.table``), built at the first item of ``--enumerate N`` when
+    N is at least ``--min-n``: item i is the graph of edge mask i - 1, whose
+    complement is the mirror mask, at entry -i.  Other input is read a line
+    at a time, unless its first non-blank line is an ``n m`` header: then it
+    is one edge-list graph, read whole."""
     if cfg.enumerate_n is not None or cfg.noniso_n is not None:
-        graphs = (enumerate_labeled_graphs(cfg.enumerate_n) if cfg.noniso_n is None
+        labeled = cfg.noniso_n is None
+        graphs = (enumerate_labeled_graphs(cfg.enumerate_n) if labeled
                   else enumerate_nonisomorphic(cfg.noniso_n))
+        table = None
         for i, g in enumerate(graphs, start=1):
-            yield i, None, g
+            if i == 1 and labeled and cfg.table is not None and cfg.enumerate_n >= cfg.min_n:
+                table = cfg.table(cfg.enumerate_n, cfg.budget)
+            yield i, None, g, None if table is None else (table[i - 1], table[-i])
         return
     # decoded as stdin is: a stray byte reaches the parser, which names its line
     source = (nullcontext(sys.stdin) if cfg.input_path is None
@@ -209,13 +218,13 @@ def _iter_inputs(cfg: Namespace) -> Iterator[tuple[int, Optional[str], Optional[
                 continue
             if first and looks_like_edge_list(stripped):
                 try:
-                    yield lineno, None, parse_edge_list(raw + fh.read())
+                    yield lineno, None, parse_edge_list(raw + fh.read()), None
                 except ValueError as err:
                     raise InputError(lineno, str(err)) from err
                 return
             first = False
             if stripped != GRAPH6_HEADER:
-                yield lineno, stripped, None
+                yield lineno, stripped, None, None
 
 
 def _write_report(cfg: Namespace, spool: IO[str], summary: dict) -> None:
@@ -245,45 +254,31 @@ class _InlinePool:
         return fut
 
 
-def _task(items: list, cache: GammaCache, cfg: Namespace) -> list:
-    """One task: the rows of ``items`` of order ``--min-n`` or more, which
-    share the value cache ``cache``.  Graph6 lines are parsed here, in turn
-    with the rows, so the first failing line fails the run."""
+def _task(items: list[_Item], cfg: Namespace) -> list:
+    """One task: the rows of ``items`` of order ``--min-n`` or more.  Graph6
+    lines are parsed here, in turn with the rows, and a line whose parse or
+    row fails is named here, so the first failing line fails the run."""
     rows = []
-    for lineno, text, g in items:
-        if g is None:
-            try:
+    for lineno, text, g, known in items:
+        try:
+            if g is None:
                 g = parse_graph6(text)
-            except ValueError as err:
-                raise InputError(lineno, str(err)) from err
-        if g.n >= cfg.min_n:
-            rows.append(cfg.row(lineno, text, g, cache, cfg))
+            if g.n >= cfg.min_n:
+                rows.append(cfg.row(g, text, known, cfg))
+        except (ValueError, BudgetExceededError) as err:
+            raise InputError(lineno, str(err)) from err
     return rows
 
 
 def _stream(cfg: Namespace, pool: ProcessPoolExecutor | _InlinePool, window: int) -> Iterator:
-    """Rows of the input stream in order, computed ``NG_CHUNK`` graphs a task.
-
-    At most ``window`` tasks are in flight, and a full window waits for its
-    oldest task.  Under ``--enumerate``, item i is the graph of edge mask
-    i - 1, and a subcommand that declares a value table (``cfg.table``)
-    seeds each task's cache with the table's values of its graphs and their
-    complements.  The table is built when the first task is, so a stream
-    that fails at once or has no graph of order ``--min-n`` builds none.
-    """
+    """Rows of the input stream in order, computed ``NG_CHUNK`` graphs a task,
+    with at most ``window`` tasks in flight: a full window waits for its oldest."""
     items = _iter_inputs(cfg)
-    table = None
     pending: deque[Future] = deque()
     while batch := list(itertools.islice(items, NG_CHUNK)):
         if len(pending) == window:
             yield from pending.popleft().result()
-        if (table is None and cfg.table is not None and cfg.enumerate_n is not None
-                and cfg.enumerate_n >= cfg.min_n):
-            table = cfg.table(cfg.enumerate_n, cfg.budget)
-        # the complement of mask i - 1 is the mirror mask, at entry -i
-        seeds: GammaCache = ({} if table is None
-                             else {g: (table[i - 1], table[-i]) for i, _, g in batch})
-        pending.append(pool.submit(_task, batch, seeds, cfg))
+        pending.append(pool.submit(_task, batch, cfg))
     while pending:
         yield from pending.popleft().result()
 
@@ -337,11 +332,14 @@ def _tally(cfg: Namespace) -> int:
 # ---------------------------------------------------------------------------
 # subcommands: a row function each, and the summary of its rows
 #
-# A row takes (line number, graph6 line or None, graph, value cache, parsed
+# A row takes (graph, graph6 line or None, known values or None, parsed
 # arguments) and returns the graph's record: a (report line, tallies) pair
-# for ``_tally``.  Rows run in pool workers, so they are module-level
-# functions, and they call the solvers and the codec through this module's
-# globals.  ``_build_parser`` declares each subcommand with its row.
+# for ``_tally``.  The known values, the graph's and its complement's, come
+# only from ``ng``'s ``--enumerate`` table.  A row refuses a graph with a
+# ``ValueError``, which ``_task`` tags with the graph's input line.  Rows run
+# in pool workers, so they are module-level functions, and they call the
+# solvers and the codec through this module's globals.  ``_build_parser``
+# declares each subcommand with its row.
 
 
 def _tsv(*fields: object) -> str:
@@ -352,23 +350,23 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _solve_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
+def _solve_row(g: Graph, text: Optional[str], known: Optional[tuple[int, int]], cfg: Namespace):
     res = gamma_bnb(g, cfg.k, cfg.budget)
     return _tsv(encode_graph6(g), g.n, cfg.k, res.value, res.witness.to_text()), ()
 
 
-def _classify_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
+def _classify_row(g: Graph, text: Optional[str], known: Optional[tuple[int, int]], cfg: Namespace):
     gc = classify_graph(g)
     line = _tsv(encode_graph6(g), g.n, gc.family.value, _flag(gc.trivially_small),
                 _flag(gc.matches_n_minus_1), "-" if gc.predicted is None else gc.predicted)
     return line, (gc.matches_n_minus_1, gc.trivially_small)
 
 
-def _ng_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
-    rec = ng_record(g, cache, cfg.budget)
+def _ng_row(g: Graph, text: Optional[str], known: Optional[tuple[int, int]], cfg: Namespace):
+    rec = ng_record(g, None if known is None else {g: known}, cfg.budget)
     if cfg.dedup and rec.status == STATUS_AT_UPPER and g.n > CANONICAL_MAX_VERTICES:
         # refused here, at its line, rather than after the whole stream
-        raise InputError(lineno, f"--dedup needs n <= {CANONICAL_MAX_VERTICES}, got {g.n}")
+        raise ValueError(f"--dedup needs n <= {CANONICAL_MAX_VERTICES}, got {g.n}")
     return rec.to_line(), tuple(rec.status == status for status in ALL_STATUSES)
 
 
@@ -401,10 +399,10 @@ def _ng_finish(cfg: Namespace, summary: dict, spool: IO[str]) -> None:
         summary["oracle_mismatches"] = mismatches
 
 
-def _reduce_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
+def _reduce_row(g: Graph, text: Optional[str], known: Optional[tuple[int, int]], cfg: Namespace):
     parts = bipartition(g)
     if parts is None:
-        raise InputError(lineno, "graph is not bipartite")
+        raise ValueError("graph is not bipartite")
     inst = build_reduction(g, parts, cfg.k)
     check = verify_reduction(inst, cfg.budget)
     line = _tsv(serialize_instance(inst), check.gamma_dom, check.gamma_rik_target,
@@ -412,17 +410,17 @@ def _reduce_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, c
     return line, (not check.equal,)
 
 
-def _prism_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
+def _prism_row(g: Graph, text: Optional[str], known: Optional[tuple[int, int]], cfg: Namespace):
     check = prism_check(g, cfg.k, cfg.budget)
     line = _tsv(encode_graph6(g), g.n, cfg.k, check.gamma.value, check.ids.value,
                 _flag(check.equal), _flag(check.lifted_valid))
     return line, (not (check.equal and check.lifted_valid),)
 
 
-def _codec_row(lineno: int, text: Optional[str], g: Graph, cache: GammaCache, cfg: Namespace):
+def _codec_row(g: Graph, text: Optional[str], known: Optional[tuple[int, int]], cfg: Namespace):
     out = encode_graph6(g)
     if cfg.roundtrip and text is None:
-        raise InputError(lineno, "--roundtrip needs graph6 input lines")
+        raise ValueError("--roundtrip needs graph6 input lines")
     return out, (cfg.roundtrip and out != text.removeprefix(GRAPH6_HEADER),)
 
 

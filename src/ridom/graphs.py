@@ -369,7 +369,7 @@ def parse_edge_list(text: str) -> Graph:
     if not lines:
         raise ValueError("empty edge-list input")
     header = lines[0].split()
-    if len(header) != 2 or not all(tok.isdigit() for tok in header):
+    if len(header) != 2 or not all(tok.isdecimal() for tok in header):
         raise ValueError(f"bad edge-list header {lines[0]!r}, expected 'n m'")
     n, m = int(header[0]), int(header[1])
     if len(lines) - 1 != m:
@@ -377,7 +377,7 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     for ln in lines[1:]:
         toks = ln.split()
-        if len(toks) != 2 or not all(tok.isdigit() for tok in toks):
+        if len(toks) != 2 or not all(tok.isdecimal() for tok in toks):
             raise ValueError(f"bad edge line {ln!r}, expected 'u v'")
         edges.append((int(toks[0]), int(toks[1])))
     return Graph.from_edges(n, edges)

@@ -22,6 +22,7 @@ from ridom.cli import InputError, run
 from ridom.graphs import (
     Graph,
     canonical_form,
+    complete_graph,
     cycle_graph,
     encode_graph6,
     enumerate_labeled_graphs,
@@ -159,7 +160,7 @@ def test_ng_reports_are_worker_independent(tmp_path):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [7, 512])
 def test_ng_seeded_chunks_keep_reports_worker_independent(tmp_path, monkeypatch, chunk, workers):
-    # with 7 graphs a task, 147 tasks each take their seeds from the table
+    # with 7 graphs a task, 147 tasks carry their graphs' table values
     monkeypatch.setattr(cli, "NG_CHUNK", chunk)
     expected = "".join(ng_record(g).to_line() + "\n" for g in enumerate_labeled_graphs(5))
     out = tmp_path / "r.tsv"
@@ -358,6 +359,28 @@ def test_first_failing_line_is_named_under_every_worker_count(monkeypatch, capsy
     assert capsys.readouterr() == ("", "error: input line 1: graph is not bipartite\n")
 
 
+# a row that refuses its graph, with a ValueError or a budget refusal, is
+# named by its input line like a line that does not parse
+ROW_FAILURES = {
+    "prism-cap": (["prism", "--k", "3"], ["A_", encode_graph6(complete_graph(22))],
+                  "input line 2: product has 66 vertices, cap is 64"),
+    "reduce-cap": (["reduce", "--k", "4"], ["A_", encode_graph6(Graph.empty(17))],
+                   "input line 2: target has 68 vertices, cap is 64"),
+    "codec-cap": (["codec"], ["63 0"], "input line 1: graph6 short form caps at 62 vertices"),
+    "solve-budget": (["solve", "--budget-nodes", "10"], ["A_", encode_graph6(cycle_graph(14))],
+                     "input line 2: branch and bound exceeded the budget of 10 nodes"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+@pytest.mark.parametrize("args, lines, error", list(ROW_FAILURES.values()), ids=list(ROW_FAILURES))
+def test_row_failures_name_their_line_under_every_worker_count(monkeypatch, capsys, workers,
+                                                                args, lines, error):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    assert run(args + ["--workers", workers]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_failed_pool_run_waits_for_no_task_in_flight(monkeypatch, capsys):
     # line 1 fails at once, while each later task would take a minute
     monkeypatch.setattr(cli, "NG_CHUNK", 1)
@@ -446,6 +469,14 @@ def test_edge_list_row_error_names_the_header_line(monkeypatch, capsys, blanks):
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n" * blanks + "3 3\n0 1\n1 2\n0 2\n"))
     assert run(["reduce"]) == 2
     assert capsys.readouterr() == ("", f"error: input line {blanks + 1}: graph is not bipartite\n")
+
+
+def test_edge_list_superscript_is_a_bad_edge_line(monkeypatch, capsys):
+    # str.isdigit accepts a superscript, which int() refuses
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2 1\n0 \u00b9\n"))
+    assert run(["classify"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: input line 1: bad edge line '0 \u00b9', expected 'u v'\n")
 
 
 def test_codec_roundtrip_needs_graph6(tmp_path, capsys):

@@ -172,6 +172,18 @@ def test_edge_list_rejects_malformed(text):
         parse_edge_list(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2 1\n0 \u00b9\n", "bad edge line '0 \u00b9', expected 'u v'"),
+    ("\u00b2 0\n", "bad edge-list header '\u00b2 0', expected 'n m'"),
+], ids=["edge-line", "header"])
+def test_edge_list_names_superscript_digits(text, message):
+    # a superscript passes str.isdigit but not int(), so it must fail the
+    # token check rather than the conversion
+    with pytest.raises(ValueError) as excinfo:
+        parse_edge_list(text)
+    assert str(excinfo.value) == message
+
+
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
