@@ -24,11 +24,13 @@ from ridom.graphs import (
     components,
     cycle_graph,
     double_star,
+    encode_graph6,
     induced_subgraph,
+    relabel,
     star_graph,
     star_plus_edge,
 )
-from ridom.solver import PartialLabeling, extend_greedy, validate
+from ridom.solver import PartialLabeling, extend_greedy, gamma_bnb, validate
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +355,22 @@ def random_graph(rng, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(
         n, [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p]
     )
+
+
+def assert_one_value_under_relabeling(rng, g: Graph, k: int) -> None:
+    """Solve ``g`` for its value under the identity and 3 random vertex
+    orders, and assert one value and a valid witness each time.
+
+    The branching order follows the vertex labels, so a wrong prune usually
+    moves the value under relabeling: a check with no oracle and no size
+    limit."""
+    values = set()
+    for perm in [range(g.n)] + [rng.sample(range(g.n), g.n) for _ in range(3)]:
+        h = relabel(g, perm)
+        res = gamma_bnb(h, k, lexmin=False)
+        assert validate(h, res.witness) == [], (encode_graph6(h), k)
+        values.add(res.value)
+    assert len(values) == 1, (encode_graph6(g), k, values)
 
 
 def random_valid_partial(rng, g: Graph, k: int) -> PartialLabeling:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from gtools import (
+    assert_one_value_under_relabeling,
     bnb_vertex_order,
     graphs,
     ilp_gamma_rik,
@@ -28,7 +29,6 @@ from ridom.graphs import (
     induced_subgraph,
     is_connected,
     path_graph,
-    relabel,
     star_graph,
 )
 from ridom.reduction import bipartition, build_reduction
@@ -352,21 +352,12 @@ def test_bnb_node_counts_of_both_phases():
 
 
 def test_bnb_values_agree_under_relabeling():
-    # the branching order follows the vertex labels, so a wrong prune
-    # usually moves the value under relabeling: a check with no oracle and
-    # no size limit.  k=3 stops at n=26: at n=30-34 one solve takes
-    # 0.3-1.7 s
+    # k=3 stops at n=26: at n=30-34 one solve takes 0.3-1.7 s
     rng = random.Random(1)
     for k, count, top in ((2, 10, 40), (3, 6, 26)):
         for _ in range(count):
-            g = random_graph(rng, rng.randint(22, top), rng.uniform(0.1, 0.3))
-            values = set()
-            for perm in [range(g.n)] + [rng.sample(range(g.n), g.n) for _ in range(3)]:
-                h = relabel(g, perm)
-                res = gamma_bnb(h, k, lexmin=False)
-                assert validate(h, res.witness) == [], (encode_graph6(h), k)
-                values.add(res.value)
-            assert len(values) == 1, (encode_graph6(g), k, values)
+            assert_one_value_under_relabeling(
+                rng, random_graph(rng, rng.randint(22, top), rng.uniform(0.1, 0.3)), k)
 
 
 def test_one_color_value_is_independent_domination():
