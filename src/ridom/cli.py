@@ -53,6 +53,7 @@ from .families import classify_graph
 from .graphs import (
     CANONICAL_MAX_VERTICES,
     GRAPH6_HEADER,
+    LABELED_ENUM_MAX_VERTICES,
     Graph,
     canonical_form,  # not called here; perfbench/spans.py traces this name
     complement,
@@ -91,17 +92,9 @@ EXIT_BROKEN_PIPE = 141
 NG_CHUNK = 512
 
 
-class InputError(ValueError):
-    """The failure of one input line, tagged with its 1-based number."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"input line {line}: {reason}")
-        self.line = line
-        self.reason = reason
-
-    def __reduce__(self):
-        # rebuilt from both arguments when a pool worker sends it back
-        return InputError, (self.line, self.reason)
+def _input_error(lineno: int, err: Exception) -> ValueError:
+    """``err`` as the failure of 1-based input line ``lineno``."""
+    return ValueError(f"input line {lineno}: {err}")
 
 
 def _at_least(minimum: int) -> Callable[[str], int]:
@@ -191,20 +184,21 @@ _Item = tuple[int, Optional[str], Optional[Graph], Optional[tuple[int, int]]]
 def _iter_inputs(cfg: Namespace) -> Iterator[_Item]:
     """Yield (line number, graph6 line or None, graph or None, known values or
     None) from the configured source.  A graph6 line comes without its graph,
-    which its task parses.  Values are known only from a subcommand's value
-    table (``cfg.table``), built at the first item of ``--enumerate N`` when
-    N is at least ``--min-n``: item i is the graph of edge mask i - 1, whose
-    complement is the mirror mask, at entry -i.  Other input is read a line
-    at a time, unless its first non-blank line is an ``n m`` header: then it
-    is one edge-list graph, read whole."""
+    which its task parses.  A generated source below ``--min-n`` yields
+    nothing and builds nothing, but an order past its source's cap still
+    refuses.  Values are known only from a subcommand's value table
+    (``cfg.table``) under ``--enumerate N``: item i is the graph of edge mask
+    i - 1, whose complement is the mirror mask, at entry -i.  Other input is
+    read a line at a time, unless its first non-blank line is an ``n m``
+    header: then it is one edge-list graph, read whole."""
     if cfg.enumerate_n is not None or cfg.noniso_n is not None:
         labeled = cfg.noniso_n is None
-        graphs = (enumerate_labeled_graphs(cfg.enumerate_n) if labeled
-                  else enumerate_nonisomorphic(cfg.noniso_n))
-        table = None
+        n = cfg.enumerate_n if labeled else cfg.noniso_n
+        if n < cfg.min_n and n <= (LABELED_ENUM_MAX_VERTICES if labeled else CANONICAL_MAX_VERTICES):
+            return
+        table = cfg.table(n, cfg.budget) if labeled and cfg.table is not None else None
+        graphs = enumerate_labeled_graphs(n) if labeled else enumerate_nonisomorphic(n)
         for i, g in enumerate(graphs, start=1):
-            if i == 1 and labeled and cfg.table is not None and cfg.enumerate_n >= cfg.min_n:
-                table = cfg.table(cfg.enumerate_n, cfg.budget)
             yield i, None, g, None if table is None else (table[i - 1], table[-i])
         return
     # decoded as stdin is: a stray byte reaches the parser, which names its line
@@ -220,7 +214,7 @@ def _iter_inputs(cfg: Namespace) -> Iterator[_Item]:
                 try:
                     yield lineno, None, parse_edge_list(raw + fh.read()), None
                 except ValueError as err:
-                    raise InputError(lineno, str(err)) from err
+                    raise _input_error(lineno, err) from err
                 return
             first = False
             if stripped != GRAPH6_HEADER:
@@ -266,7 +260,7 @@ def _task(items: list[_Item], cfg: Namespace) -> list:
             if g.n >= cfg.min_n:
                 rows.append(cfg.row(g, text, known, cfg))
         except (ValueError, BudgetExceededError) as err:
-            raise InputError(lineno, str(err)) from err
+            raise _input_error(lineno, err) from err
     return rows
 
 

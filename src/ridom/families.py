@@ -3,9 +3,9 @@
 A connected graph on at least 3 vertices has 2-rainbow independent domination
 number ``n - 1`` exactly when it is a star, a star with one extra edge
 between two leaves, a double star whose second center carries a single leaf,
-or the 5-cycle.  The checks here are purely structural (degree multisets plus
-constant-size adjacency probes), never solver-backed, so they can serve as an
-independent cross-check of the solvers.
+or the 5-cycle.  The checks here are purely structural (degree multisets of
+a connected graph), never solver-backed, so they can serve as an independent
+cross-check of the solvers.
 """
 
 from __future__ import annotations
@@ -44,29 +44,30 @@ def classify_connected(g: Graph) -> Family:
 
 
 def _family(g: Graph) -> Family:
-    """:func:`classify_connected` without its input checks."""
+    """:func:`classify_connected` without its input checks: ``g`` must be
+    connected, on at least 3 vertices.
+
+    The degrees decide each family; no adjacency needs probing.  With a
+    hub, a leaf's only neighbour is the hub, so the two vertices of degree 2
+    have each other as their second neighbour: a star plus an edge.  When
+    all but two vertices are leaves, a path between those two has no inner
+    vertex, since an inner vertex has degree at least 2; the graph is
+    connected, so the two are adjacent: a double star.
+    """
     n = g.n
     deg = g.degrees()
 
     hubs = [v for v in range(n) if deg[v] == n - 1]
     if hubs:
-        center = hubs[0]
-        rest = sorted(deg[v] for v in range(n) if v != center)
+        rest = sorted(deg[v] for v in range(n) if v != hubs[0])
         if rest == [1] * (n - 1):
             return Family.STAR
         if rest == [1] * (n - 3) + [2, 2]:
-            two_a, two_b = (v for v in range(n) if v != center and deg[v] == 2)
-            if g.has_edge(two_a, two_b):
-                return Family.STAR_PLUS_EDGE
+            return Family.STAR_PLUS_EDGE
 
-    if n >= 4:
-        internal = [v for v in range(n) if deg[v] >= 2]
-        if (
-            len(internal) == 2
-            and sorted(deg[v] for v in internal) == sorted((2, n - 2))
-            and g.has_edge(*internal)
-        ):
-            return Family.DOUBLE_STAR_31
+    internal = sorted(d for d in deg if d >= 2)
+    if n >= 4 and internal == sorted((2, n - 2)):
+        return Family.DOUBLE_STAR_31
 
     return Family.C5 if is_five_cycle(g) else Family.NONE
 

@@ -100,8 +100,6 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             rows[u] |= 1 << v
@@ -501,7 +499,7 @@ def _with_new_vertex(g: Graph, nbr_mask: int) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def enumerate_nonisomorphic(n: int, connected: bool = False) -> tuple[Graph, ...]:
+def enumerate_nonisomorphic(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class on exactly ``n`` vertices.
 
     Built self-containedly by extending the (n-1)-vertex classes with every
@@ -509,8 +507,6 @@ def enumerate_nonisomorphic(n: int, connected: bool = False) -> tuple[Graph, ...
     no external enumerator output is required.  Deterministic order (sorted
     by canonical key).  Capped with canonical_form at 8 vertices.
     """
-    if connected:
-        return tuple(g for g in enumerate_nonisomorphic(n) if is_connected(g))
     if not 0 <= n <= CANONICAL_MAX_VERTICES:
         raise UnsupportedSizeError(
             f"non-isomorphic enumeration caps at {CANONICAL_MAX_VERTICES} vertices"

@@ -2,8 +2,8 @@
 
 For a graph of order ``n >= 3`` that is not the 5-cycle, the value on the
 graph plus the value on its complement lies in ``[5, n + 2]``; the 5-cycle is
-self-complementary and alone attains ``n + 3``.  At ``n = 2`` only the upper
-bound applies, and 0- or 1-vertex graphs are unconstrained.  This module
+self-complementary and alone attains ``n + 3``.  At ``n = 2`` the window is
+``{4}``, and 0- or 1-vertex graphs are unconstrained.  This module
 computes one graph's exact sum with the branch-and-bound solver, classifies
 the record against the applicable bounds, tabulates the value of every graph
 of a labeled enumeration with one solve per isomorphism class, and collapses
@@ -29,14 +29,12 @@ from .graphs import (
 )
 from .solver import SolverBudget, gamma_bnb
 
-STATUS_BELOW_RANGE = "below_range"
 STATUS_IN_RANGE = "in_range"
 STATUS_AT_UPPER = "at_upper"
 STATUS_EXCEPTIONAL_C5 = "exceptional_c5"
 STATUS_VIOLATION = "violation"
 
 ALL_STATUSES = (
-    STATUS_BELOW_RANGE,
     STATUS_IN_RANGE,
     STATUS_AT_UPPER,
     STATUS_EXCEPTIONAL_C5,
@@ -65,16 +63,9 @@ def _status(n: int, c5: bool, total: int) -> str:
     if n <= 1:
         # no bound applies to the empty graph or a single vertex
         return STATUS_IN_RANGE
-    if total > n + 2:
+    if not min(5, n + 2) <= total <= n + 2:
         return STATUS_VIOLATION
-    if n >= 3 and total < 5:
-        return STATUS_VIOLATION
-    if total == n + 2:
-        return STATUS_AT_UPPER
-    if total < 5:
-        # reachable only where the lower bound does not apply (n = 2)
-        return STATUS_BELOW_RANGE
-    return STATUS_IN_RANGE
+    return STATUS_AT_UPPER if total == n + 2 else STATUS_IN_RANGE
 
 
 # maps a graph to its value and its complement's

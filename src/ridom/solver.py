@@ -453,8 +453,7 @@ def gamma_bnb(
     ``lexmin=False``: each component then stops after its first phase, and
     the witness is optimal and feasible but need not be lex-min.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_labels(k, ())
     budget = budget or DEFAULT_BUDGET
     labels = [0] * g.n
     total = 0
@@ -512,12 +511,11 @@ def domination_number(g: Graph, budget: SolverBudget | None = None) -> SetResult
 
 
 def is_independent_dominating(g: Graph, mask: int) -> bool:
-    cover = 0
-    for v in bits(mask):
-        if g.adj[v] & mask:
-            return False
-        cover |= g.adj[v] | 1 << v
-    return cover == g.full_mask
+    """Whether the vertex mask ``mask`` is an independent dominating set of
+    ``g``: the feasibility rule of :func:`validate` at ``k = 1``."""
+    if mask >> g.n:
+        raise ValueError("vertex mask has bits outside the graph")
+    return not validate(g, Labeling(1, tuple(mask >> v & 1 for v in range(g.n))))
 
 
 @dataclass(frozen=True)

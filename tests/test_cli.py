@@ -7,7 +7,6 @@ import importlib.util
 import io
 import json
 import os
-import pickle
 import subprocess
 import sys
 import time
@@ -18,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from ridom import cli, families, graphs, nordhaus
-from ridom.cli import InputError, run
+from ridom.cli import run
 from ridom.graphs import (
     Graph,
     canonical_form,
@@ -220,6 +219,36 @@ def test_ng_min_n_skips_small_graphs(tmp_path, capsys):
     assert last_json(out)["records"] == 1
 
 
+@pytest.mark.parametrize("source", ["--enumerate", "--noniso"])
+def test_ng_builds_nothing_for_a_source_below_min_n(monkeypatch, capsys, source):
+    # no graph, class list or value table: every row would be skipped
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((graphs, "labeled_graph"), (cli, "enumerate_nonisomorphic"),
+                         (cli, "enumeration_values")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    assert run(["ng", source, "5", "--min-n", "6"]) == 0
+    assert calls == []
+    assert capsys.readouterr() == (json.dumps({
+        "command": "ng", "counts": {}, "extremal_count": 0, "min_n": 6, "records": 0,
+        "seed": 0, "violations": 0}) + "\n", "")
+
+
+@pytest.mark.parametrize("source, error", [
+    ("--enumerate", "labeled enumeration caps at 7 vertices"),
+    ("--noniso", "non-isomorphic enumeration caps at 8 vertices"),
+])
+def test_ng_refuses_an_order_past_its_cap_whatever_min_n(capsys, source, error):
+    assert run(["ng", source, "9", "--min-n", "10"]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_ng_dedup_lists_extremal_up_to_isomorphism(tmp_path, capsys):
     lines = ["Bw", "Bw", encode_graph6(star_graph(3))]
     src = write_lines(tmp_path / "in.g6", lines)
@@ -392,12 +421,6 @@ def test_failed_pool_run_waits_for_no_task_in_flight(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: input line 1: graph is not bipartite\n"
 
 
-def test_input_error_survives_pickling():
-    err = pickle.loads(pickle.dumps(InputError(3, "x")))
-    assert (err.line, err.reason, str(err)) == (3, "x", "input line 3: x")
-    assert isinstance(err, ValueError)
-
-
 def test_reduce_honours_the_budget(tmp_path, capsys):
     src = write_lines(tmp_path / "in.g6", ["Cr"])
     args = ["reduce", "--k", "2", "--input", src]
@@ -456,12 +479,16 @@ def test_codec_converts_edge_lists(tmp_path, capsys):
     assert out.splitlines()[0] == encode_graph6(cycle_graph(4))
 
 
-@pytest.mark.parametrize("blanks", [0, 2])
-def test_edge_list_parse_error_names_the_header_line(monkeypatch, capsys, blanks):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\n" * blanks + "3 2\n0 1\n1 5\n"))
+@pytest.mark.parametrize("blanks, edge, error", [
+    (0, "1 5", "edge (1, 5) outside vertex range 0..2"),
+    (2, "1 5", "edge (1, 5) outside vertex range 0..2"),
+    (0, "1 1", "self-loop at vertex 1"),
+    (0, "5 5", "edge (5, 5) outside vertex range 0..2"),
+], ids=["0", "2", "loop", "loop-out-of-range"])
+def test_edge_list_parse_error_names_the_header_line(monkeypatch, capsys, blanks, edge, error):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n" * blanks + f"3 2\n0 1\n{edge}\n"))
     assert run(["classify"]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: input line {blanks + 1}: edge (1, 5) outside vertex range 0..2\n")
+    assert capsys.readouterr() == ("", f"error: input line {blanks + 1}: {error}\n")
 
 
 @pytest.mark.parametrize("blanks", [0, 2])

@@ -49,8 +49,10 @@ def test_from_edges_builds_symmetric_adjacency():
 
 
 def test_constructor_rejects_garbage():
-    with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 0)])  # loop
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
+        Graph.from_edges(2, [(0, 0)])
+    with pytest.raises(ValueError, match=r"^edge \(5, 5\) outside vertex range 0\.\.2$"):
+        Graph.from_edges(3, [(5, 5)])  # a loop out of range names the range
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])  # out of range
     with pytest.raises(ValueError):
@@ -393,16 +395,15 @@ def test_nonisomorphic_counts_match_the_literature():
 
 
 def test_connected_nonisomorphic_counts():
-    assert [len(enumerate_nonisomorphic(n, connected=True)) for n in range(1, 8)] == [
+    assert [sum(map(is_connected, enumerate_nonisomorphic(n))) for n in range(1, 8)] == [
         1, 1, 2, 6, 21, 112, 853,
     ]
 
 
 @pytest.mark.parametrize("n", [-1, 9])
-@pytest.mark.parametrize("connected", [False, True])
-def test_nonisomorphic_enumeration_refuses_orders_outside_its_range(n, connected):
+def test_nonisomorphic_enumeration_refuses_orders_outside_its_range(n):
     with pytest.raises(UnsupportedSizeError, match="caps at 8 vertices"):
-        enumerate_nonisomorphic(n, connected)
+        enumerate_nonisomorphic(n)
 
 
 def test_nonisomorphic_7_makes_11291_canonical_form_calls(monkeypatch):

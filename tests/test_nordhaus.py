@@ -33,7 +33,6 @@ from ridom.graphs import (
 )
 from ridom.nordhaus import (
     STATUS_AT_UPPER,
-    STATUS_BELOW_RANGE,
     STATUS_EXCEPTIONAL_C5,
     STATUS_IN_RANGE,
     STATUS_VIOLATION,
@@ -95,6 +94,13 @@ def test_two_vertex_graphs_hit_their_ceiling():
     # K2 and its complement both sum to 4 = n + 2
     for g in enumerate_labeled_graphs(2):
         assert ng_record(g).status == STATUS_AT_UPPER
+
+
+@pytest.mark.parametrize("total, status", [
+    (3, STATUS_VIOLATION), (4, STATUS_AT_UPPER), (5, STATUS_VIOLATION),
+])
+def test_the_window_at_two_vertices_is_four(total, status):
+    assert nordhaus._status(2, False, total) == status
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +242,7 @@ def test_min_n_skips_rather_than_records(monkeypatch, capsys):
 def test_below_range_is_never_seen_on_small_graphs(monkeypatch, capsys):
     for n in range(7):
         _, _, summary = run_ng(monkeypatch, capsys, "--noniso", str(n))
-        assert STATUS_BELOW_RANGE not in summary["counts"]
+        assert "below_range" not in summary["counts"]
 
 
 @given(graphs(max_n=6))

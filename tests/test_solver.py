@@ -553,6 +553,20 @@ def test_domination_known_values():
     assert domination_number(path_graph(4)).value == 2
 
 
+def test_independent_dominating_matches_its_definition():
+    # independent, and the closed neighbourhoods of its vertices cover the graph
+    for n in range(5):
+        for g in enumerate_labeled_graphs(n):
+            closed = [{v} | {u for u in range(n) if g.has_edge(u, v)} for v in range(n)]
+            for mask in range(1 << n):
+                chosen = [v for v in range(n) if mask >> v & 1]
+                independent = not any(g.has_edge(u, v) for u, v in itertools.combinations(chosen, 2))
+                covered = set().union(*(closed[v] for v in chosen)) == set(range(n))
+                assert is_independent_dominating(g, mask) == (independent and covered)
+    with pytest.raises(ValueError, match="vertex mask has bits outside the graph"):
+        is_independent_dominating(path_graph(3), 0b1001)
+
+
 def test_set_witnesses_check_out():
     for g in enumerate_nonisomorphic(5):
         res = independent_domination(g)
@@ -593,7 +607,7 @@ def test_prism_square_two_layers():
 
 
 def test_prism_single_layer_reduces_to_independent_domination():
-    for g in enumerate_nonisomorphic(5, connected=True):
+    for g in filter(is_connected, enumerate_nonisomorphic(5)):
         report = prism_check(g, 1)
         assert report.equal and report.lifted_valid
 
