@@ -59,7 +59,6 @@ from .solver import (
     gamma_brute,
     independent_domination,
     prism_check,
-    solve_constrained,
     validate,
     weight,
 )

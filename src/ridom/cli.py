@@ -77,6 +77,7 @@ from .solver import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     SolverBudget,
+    _check_labeling_budget,
     gamma_bnb,
     gamma_brute,
     prism_check,
@@ -361,6 +362,9 @@ def _ng_row(g: Graph, text: Optional[str], known: Optional[tuple[int, int]], cfg
     if cfg.dedup and rec.status == STATUS_AT_UPPER and g.n > CANONICAL_MAX_VERTICES:
         # refused here, at its line, rather than after the whole stream
         raise ValueError(f"--dedup needs n <= {CANONICAL_MAX_VERTICES}, got {g.n}")
+    if cfg.oracle_check:
+        # any record may be sampled for the brute re-solve, so each must fit
+        _check_labeling_budget(g.n, 2, cfg.budget)
     return rec.to_line(), tuple(rec.status == status for status in ALL_STATUSES)
 
 

@@ -3,7 +3,18 @@
 For a graph of order ``n >= 3`` that is not the 5-cycle, the value on the
 graph plus the value on its complement lies in ``[5, n + 2]``; the 5-cycle is
 self-complementary and alone attains ``n + 3``.  At ``n = 2`` the window is
-``{4}``, and 0- or 1-vertex graphs are unconstrained.  This module
+``{4}``, and 0- or 1-vertex graphs are unconstrained.
+
+The lower end 5 is reached only at ``n = 3``: for ``n >= 4`` the sum is at
+least 6.  A graph on two or more vertices has value at least 2, since a
+vertex labeled 0 needs neighbors of both colors.  So take value 2 on G, by
+symmetry.  With ``n >= 3`` some vertex is 0, so the two nonzero vertices u
+and v carry colors 1 and 2, and every other vertex is adjacent to both.  In
+the complement neither u nor v has a neighbor outside ``{u, v}``, so
+neither can be 0.  The other ``n - 2 >= 2`` vertices are a union of
+components of the complement, which need weight 2 or more.  Hence the
+complement's value is at least 4.  This is a proved floor, not a status:
+``ridom ng`` still classifies a record against the window above.  This module
 computes one graph's exact sum with the branch-and-bound solver, classifies
 the record against the applicable bounds, tabulates the value of every graph
 of a labeled enumeration with one solve per isomorphism class, and collapses

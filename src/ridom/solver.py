@@ -24,7 +24,6 @@ returns the same value with an optimal witness that need not be lex-min.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -43,7 +42,9 @@ class SolverBudget:
     """Caps on enumeration sizes; defaults fit interactive use.
 
     ``max_labelings`` bounds ``(k+1)**n`` for labeling enumeration (default
-    3**12, i.e. n = 12 at k = 2).  ``max_subsets`` bounds ``2**n`` for
+    3**12, i.e. n = 12 at k = 2); ``gamma_brute`` reads it, and so does
+    ``ridom ng``'s row under ``--oracle-check``, which refuses a graph that
+    ``gamma_brute`` could not re-solve.  ``max_subsets`` bounds ``2**n`` for
     vertex-subset enumeration (default n = 24).  ``max_nodes`` bounds the
     search nodes of one ``gamma_bnb`` call (default 10**8 nodes).
     """
@@ -119,7 +120,6 @@ class SetResult:
 
     value: int
     witness: int
-    nodes_explored: int
 
 
 def weight(f: Labeling) -> int:
@@ -180,33 +180,18 @@ def _check_labeling_budget(n: int, k: int, budget: SolverBudget) -> None:
         )
 
 
-def _lex_scan(g: Graph, k: int, choices: Sequence[Sequence[int]]) -> Optional[SolveResult]:
-    """Lex-first minimum-weight feasible labeling with vertex v's label in ``choices[v]``.
-
-    Scans ``itertools.product(*choices)`` in lexicographic order, keeping the
-    first labeling of each strictly smaller weight; None when none is feasible.
-    """
-    adj = g.adj
+def gamma_brute(g: Graph, k: int, budget: SolverBudget | None = None) -> SolveResult:
+    """Reference solver: scan every labeling in lexicographic order, keeping
+    the first of each strictly smaller weight."""
+    _check_labeling_budget(g.n, k, budget or DEFAULT_BUDGET)
     best_w = g.n + 1
-    best: Optional[tuple[int, ...]] = None
-    for cand in itertools.product(*choices):
+    best: tuple[int, ...] = ()
+    for cand in itertools.product(range(k + 1), repeat=g.n):
         w = sum(1 for lab in cand if lab)
-        if w >= best_w:
-            continue
-        if _feasible(adj, cand, k):
+        if w < best_w and _feasible(g.adj, cand, k):
             best_w = w
             best = cand
-    if best is None:
-        return None
-    return SolveResult(best_w, Labeling(k, best), math.prod(map(len, choices)))
-
-
-def gamma_brute(g: Graph, k: int, budget: SolverBudget | None = None) -> SolveResult:
-    """Reference solver: scan every labeling in lexicographic order."""
-    _check_labeling_budget(g.n, k, budget or DEFAULT_BUDGET)
-    res = _lex_scan(g, k, [range(k + 1)] * g.n)
-    assert res is not None  # the all-nonzero greedy always yields something
-    return res
+    return SolveResult(best_w, Labeling(k, best), (k + 1) ** g.n)
 
 
 def extend_greedy(g: Graph, partial: PartialLabeling, order: Sequence[int]) -> Labeling:
@@ -240,27 +225,6 @@ def extend_greedy(g: Graph, partial: PartialLabeling, order: Sequence[int]) -> L
         else:
             labels[x] = 0
     return Labeling(k, tuple(labels))
-
-
-def solve_constrained(
-    g: Graph,
-    k: int,
-    fixed: PartialLabeling,
-    budget: SolverBudget | None = None,
-) -> Optional[SolveResult]:
-    """Minimum-weight feasible labeling agreeing with ``fixed``, if any.
-
-    Unlike :func:`extend_greedy` this places no feasibility demand on the
-    fixed part by itself; a fixed zero vertex may collect its colors from the
-    free vertices.  Enumerates the free labels exhaustively, so budget-bound.
-    """
-    budget = budget or DEFAULT_BUDGET
-    if fixed.k != k:
-        raise ValueError(f"fixed labels carry k={fixed.k}, solver asked for k={k}")
-    if len(fixed.assigned) != g.n:
-        raise ValueError(f"fixed covers {len(fixed.assigned)} vertices, graph has {g.n}")
-    _check_labeling_budget(len(fixed.unassigned()), k, budget)
-    return _lex_scan(g, k, [range(k + 1) if lab is None else (lab,) for lab in fixed.assigned])
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +447,8 @@ def _smallest_dominating(g: Graph, budget: SolverBudget | None, independent: boo
     budget = budget or DEFAULT_BUDGET
     _check_subset_budget(g.n, budget)
     closed = prism_closed_rows(g.adj, 1)
-    examined = 0
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
-            examined += 1
             mask = 0
             cover = 0
             for v in combo:
@@ -496,7 +458,7 @@ def _smallest_dominating(g: Graph, budget: SolverBudget | None, independent: boo
                 cover |= closed[v]
             else:
                 if cover == g.full_mask:
-                    return SetResult(size, mask, examined)
+                    return SetResult(size, mask)
     raise AssertionError("a maximal independent set always dominates")
 
 
@@ -525,7 +487,6 @@ class PrismReport:
     gamma: SolveResult
     ids: SetResult
     equal: bool
-    lifted_mask: int
     lifted_valid: bool
 
 
@@ -545,4 +506,4 @@ def prism_check(g: Graph, k: int, budget: SolverBudget | None = None) -> PrismRe
         if lab:
             lifted |= 1 << (v * k + lab - 1)
     lifted_valid = is_independent_dominating(prism, lifted)
-    return PrismReport(gamma, ids, gamma.value == ids.value, lifted, lifted_valid)
+    return PrismReport(gamma, ids, gamma.value == ids.value, lifted_valid)

@@ -30,7 +30,7 @@ from ridom.graphs import (
     star_graph,
     star_plus_edge,
 )
-from ridom.solver import PartialLabeling, extend_greedy, gamma_bnb, validate
+from ridom.solver import Labeling, PartialLabeling, extend_greedy, gamma_bnb, validate
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +143,20 @@ def ref_gamma_rik(g: Graph, k: int) -> int:
         if ok:
             best = weight
     return best
+
+
+def has_feasible_labeling(g: Graph, k: int, fixed: dict[int, int]) -> bool:
+    """Whether some feasible k-labeling of ``g`` gives each vertex of
+    ``fixed`` its label there, by trying every labeling of the other vertices.
+
+    A fixed 0 may collect its colors from the free vertices, so the fixed
+    part need not be feasible on its own."""
+    free = [v for v in range(g.n) if v not in fixed]
+    for choice in itertools.product(range(k + 1), repeat=len(free)):
+        labels = {**fixed, **dict(zip(free, choice))}
+        if not validate(g, Labeling(k, tuple(labels[v] for v in range(g.n)))):
+            return True
+    return False
 
 
 def ilp_gamma_rik(g: Graph, k: int) -> int:

@@ -339,6 +339,20 @@ def test_ng_budget_refusal(tmp_path):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
+def test_ng_oracle_check_refuses_at_the_line_whatever_the_seed(tmp_path, capsys, workers):
+    # any record may be sampled for the brute re-solve, so a graph past the
+    # labeling budget fails at its line, not only when the sample picks it
+    lines = [encode_graph6(cycle_graph(13))] + [encode_graph6(g) for g in enumerate_nonisomorphic(4)]
+    src = write_lines(tmp_path / "in.g6", lines)
+    for seed in ("0", "1", "2", "3"):
+        assert run(["ng", "--input", src, "--oracle-check", "3", "--seed", seed,
+                    "--workers", workers]) == 2
+        assert capsys.readouterr() == ("", "error: input line 1: (k+1)^n = 1594323 labelings "
+                                           "exceed the budget of 531441; use gamma_bnb for "
+                                           "graphs this large\n")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
 def test_ng_node_budget_refuses(capsys, workers):
     args = ["ng", "--enumerate", "4", "--workers", workers]
     assert run(args + ["--budget-nodes", "1"]) == 2

@@ -1,14 +1,17 @@
 """Every module-level import of the package is used, and so is every
-module-level name it defines."""
+module-level name it defines; every source file parses at the oldest
+Python the project supports."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import spans  # perfbench/spans.py, on the path through conftest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ridom"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ridom"
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
@@ -51,3 +54,15 @@ def test_no_unread_module_level_name():
             unread += [f"{name}:{line} {d}" for d, line in defined
                        if not d.startswith("__") and d not in read | exported]
     assert not unread, unread
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    # syntax only: a newer stdlib API used under the floor passes unseen
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert floor, "requires-python not found in pyproject.toml"
+    version = (3, int(floor.group(1)))
+    paths = sorted(p for top in ("src", "tests", "perfbench") for p in (ROOT / top).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
