@@ -128,8 +128,6 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    if g.n + h.n > MAX_VERTICES:
-        raise UnsupportedSizeError(f"union has {g.n + h.n} vertices, cap is {MAX_VERTICES}")
     rows = list(g.adj) + [row << g.n for row in h.adj]
     return Graph(g.n + h.n, tuple(rows))
 
@@ -366,10 +364,9 @@ def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
-    header = lines[0].split()
-    if len(header) != 2 or not all(tok.isdecimal() for tok in header):
+    if not looks_like_edge_list(lines[0]):
         raise ValueError(f"bad edge-list header {lines[0]!r}, expected 'n m'")
-    n, m = int(header[0]), int(header[1])
+    n, m = map(int, lines[0].split())
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1} edge lines")
     edges = []

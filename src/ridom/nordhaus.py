@@ -38,7 +38,7 @@ from .graphs import (
     labeled_pairs,
     parse_graph6,
 )
-from .solver import SolverBudget, gamma_bnb
+from .solver import DEFAULT_BUDGET, SolverBudget, gamma_bnb
 
 STATUS_IN_RANGE = "in_range"
 STATUS_AT_UPPER = "at_upper"
@@ -84,14 +84,14 @@ GammaCache = dict[Graph, tuple[int, int]]
 
 
 def ng_record(
-    g: Graph, cache: Optional[GammaCache] = None, budget: Optional[SolverBudget] = None
+    g: Graph, cache: Optional[GammaCache] = None, budget: SolverBudget = DEFAULT_BUDGET
 ) -> NGRecord:
     """Exact sum record for one graph, with its bound classification.
 
     ``cache`` maps a graph to its value and its complement's, and gains the
     pair solved here on a miss; the complement is built only then.  Both
-    solves run under ``budget`` (default: ``DEFAULT_BUDGET``) and ask for
-    the value only, so they skip the lex-min witness phase.
+    solves run under ``budget`` and ask for the value only, so they skip
+    the lex-min witness phase.
     """
     cache = {} if cache is None else cache
     pair = cache.get(g)
@@ -115,7 +115,7 @@ def ng_record(
 _UNSET = 255
 
 
-def enumeration_values(n: int, budget: Optional[SolverBudget] = None) -> bytearray:
+def enumeration_values(n: int, budget: SolverBudget = DEFAULT_BUDGET) -> bytearray:
     """The value of every labeled graph on ``n`` vertices, indexed by edge
     mask (the mask of :func:`labeled_graph`).  The complement of mask ``m``
     is ``full ^ m``, so its value is the mirror entry ``gamma[-1 - m]``.

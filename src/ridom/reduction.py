@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Optional
 
 from .graphs import Graph, MAX_VERTICES, UnsupportedSizeError, bfs_layers, encode_graph6, parse_graph6
-from .solver import Labeling, SolverBudget, domination_number, gamma_bnb, validate
+from .solver import DEFAULT_BUDGET, Labeling, SolverBudget, domination_number, gamma_bnb, validate
 
 
 def bipartition(g: Graph) -> Optional[tuple[int, int]]:
@@ -45,8 +45,8 @@ class ReductionInstance:
 
     Construction checks that ``k >= 2``, that the part masks are a genuine
     bipartition of ``source`` and that the target fits the 64-vertex cap.
-    ``core_map[v]`` is the target index of source vertex ``v`` and
-    ``leaf_map[v]`` the ascending indices of its ``k - 1`` pendant leaves.
+    Source vertex ``v`` keeps index ``v`` in the target, and ``leaf_map[v]``
+    holds the ascending indices of its ``k - 1`` pendant leaves.
     """
 
     source: Graph
@@ -66,10 +66,6 @@ class ReductionInstance:
                 raise ValueError(f"vertex {v} has a neighbor inside its own part")
         if g.n * self.k > MAX_VERTICES:
             raise UnsupportedSizeError(f"target has {g.n * self.k} vertices, cap is {MAX_VERTICES}")
-
-    @cached_property
-    def core_map(self) -> tuple[int, ...]:
-        return tuple(range(self.source.n))
 
     @cached_property
     def leaf_map(self) -> tuple[tuple[int, ...], ...]:
@@ -110,7 +106,7 @@ def lift_dominating_set(inst: ReductionInstance, dom_mask: int) -> Labeling:
     for v in range(g.n):
         if dom_mask >> v & 1:
             own = 1 if inst.x_mask >> v & 1 else 2
-            labels[inst.core_map[v]] = own
+            labels[v] = own
         else:
             # color supplied by a dominating neighbor; part 1 wins ties
             own = 1 if g.adj[v] & d1 else 2
@@ -132,7 +128,7 @@ def project_ridf(inst: ReductionInstance, f: Labeling) -> int:
         raise ValueError("labeling is not feasible on the target")
     mask = 0
     for v in range(inst.source.n):
-        if f.labels[inst.core_map[v]]:
+        if f.labels[v]:
             mask |= 1 << v
     return mask
 
@@ -145,7 +141,7 @@ class ReductionReport:
     equal: bool
 
 
-def verify_reduction(inst: ReductionInstance, budget: Optional[SolverBudget] = None) -> ReductionReport:
+def verify_reduction(inst: ReductionInstance, budget: SolverBudget = DEFAULT_BUDGET) -> ReductionReport:
     """Check the value identity on one instance with the exact solvers, under ``budget``.
 
     The target is solved for its value only, without the lex-min witness phase.
@@ -169,7 +165,7 @@ def serialize_instance(inst: ReductionInstance) -> str:
             format(inst.y_mask, "x"),
             str(inst.k),
             encode_graph6(inst.target),
-            ",".join(str(v) for v in inst.core_map),
+            ",".join(str(v) for v in range(inst.source.n)),
             ";".join(",".join(str(l) for l in leaves) for leaves in inst.leaf_map),
         )
     )

@@ -57,11 +57,13 @@ class SolverBudget:
 DEFAULT_BUDGET = SolverBudget()
 
 
-def _check_labels(k: int, labels: Iterable[Optional[int]]) -> None:
-    """Refuse k < 1 and any label outside ``0..k``; ``None`` (unassigned) passes."""
+def _check_labels(k: int, labels: Iterable[Optional[int]], partial: bool = False) -> None:
+    """Refuse k < 1, any label outside ``0..k`` and, unless ``partial``, a ``None`` label."""
     if k < 1:
         raise ValueError("k must be at least 1")
     for v, lab in enumerate(labels):
+        if lab is None and not partial:
+            raise ValueError(f"vertex {v} has no label")
         if lab is not None and not 0 <= lab <= k:
             raise ValueError(f"label {lab} at vertex {v} outside 0..{k}")
 
@@ -92,7 +94,7 @@ class PartialLabeling:
     assigned: tuple[Optional[int], ...]
 
     def __post_init__(self) -> None:
-        _check_labels(self.k, self.assigned)
+        _check_labels(self.k, self.assigned, partial=True)
 
     def unassigned(self) -> tuple[int, ...]:
         return tuple(v for v, lab in enumerate(self.assigned) if lab is None)
@@ -180,10 +182,10 @@ def _check_labeling_budget(n: int, k: int, budget: SolverBudget) -> None:
         )
 
 
-def gamma_brute(g: Graph, k: int, budget: SolverBudget | None = None) -> SolveResult:
+def gamma_brute(g: Graph, k: int, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
     """Reference solver: scan every labeling in lexicographic order, keeping
     the first of each strictly smaller weight."""
-    _check_labeling_budget(g.n, k, budget or DEFAULT_BUDGET)
+    _check_labeling_budget(g.n, k, budget)
     best_w = g.n + 1
     best: tuple[int, ...] = ()
     for cand in itertools.product(range(k + 1), repeat=g.n):
@@ -406,7 +408,7 @@ def _bnb_component(
 
 
 def gamma_bnb(
-    g: Graph, k: int, budget: SolverBudget | None = None, *, lexmin: bool = True
+    g: Graph, k: int, budget: SolverBudget = DEFAULT_BUDGET, *, lexmin: bool = True
 ) -> SolveResult:
     """Branch-and-bound solver; decomposes into connected components.
 
@@ -416,14 +418,19 @@ def gamma_bnb(
     ``budget.max_nodes``.  Callers that read only the value pass
     ``lexmin=False``: each component then stops after its first phase, and
     the witness is optimal and feasible but need not be lex-min.
+
+    A component of n vertices is searched with min(k, n) colors.  For
+    k >= n no vertex can be 0, which needs k colored neighbors, so the value
+    is n and the lex-min optimum is first-fit coloring in index order, which
+    uses at most n colors: the same labeling at k and at n.
     """
     _check_labels(k, ())
-    budget = budget or DEFAULT_BUDGET
     labels = [0] * g.n
     total = 0
     nodes = 0
     for part, vmap in components(g):
-        val, wit, explored = _bnb_component(part.adj, part.n, k, budget.max_nodes, nodes, lexmin)
+        colors = min(k, part.n)
+        val, wit, explored = _bnb_component(part.adj, part.n, colors, budget.max_nodes, nodes, lexmin)
         total += val
         nodes += explored
         for local, orig in zip(wit, vmap):
@@ -435,17 +442,10 @@ def gamma_bnb(
 # classical set invariants by subset enumeration
 
 
-def _check_subset_budget(n: int, budget: SolverBudget) -> None:
-    if 1 << n > budget.max_subsets:
-        raise BudgetExceededError(
-            f"2^{n} subsets exceed the budget of {budget.max_subsets}"
-        )
-
-
-def _smallest_dominating(g: Graph, budget: SolverBudget | None, independent: bool) -> SetResult:
+def _smallest_dominating(g: Graph, budget: SolverBudget, independent: bool) -> SetResult:
     """Smallest dominating set, independent when asked, by increasing-size subset scan."""
-    budget = budget or DEFAULT_BUDGET
-    _check_subset_budget(g.n, budget)
+    if 1 << g.n > budget.max_subsets:
+        raise BudgetExceededError(f"2^{g.n} subsets exceed the budget of {budget.max_subsets}")
     closed = prism_closed_rows(g.adj, 1)
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
@@ -462,12 +462,12 @@ def _smallest_dominating(g: Graph, budget: SolverBudget | None, independent: boo
     raise AssertionError("a maximal independent set always dominates")
 
 
-def independent_domination(g: Graph, budget: SolverBudget | None = None) -> SetResult:
+def independent_domination(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SetResult:
     """Smallest independent dominating set, by increasing-size subset scan."""
     return _smallest_dominating(g, budget, independent=True)
 
 
-def domination_number(g: Graph, budget: SolverBudget | None = None) -> SetResult:
+def domination_number(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SetResult:
     """Smallest dominating set, by increasing-size subset scan."""
     return _smallest_dominating(g, budget, independent=False)
 
@@ -490,14 +490,13 @@ class PrismReport:
     lifted_valid: bool
 
 
-def prism_check(g: Graph, k: int, budget: SolverBudget | None = None) -> PrismReport:
+def prism_check(g: Graph, k: int, budget: SolverBudget = DEFAULT_BUDGET) -> PrismReport:
     """Compare the k-rainbow value with the product graph's independent domination.
 
     Also lifts the labeling witness into the product (vertex ``v`` labeled
     ``i`` becomes ``(v, i)``) and validates that the lift is an independent
     dominating set of the same size.
     """
-    budget = budget or DEFAULT_BUDGET
     gamma = gamma_bnb(g, k, budget)
     prism = prism_product(g, k)
     ids = independent_domination(prism, budget)

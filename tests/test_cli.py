@@ -459,6 +459,16 @@ def test_prism_happy_path(tmp_path, capsys):
     assert last_json(out)["mismatches"] == 0
 
 
+def test_prism_refuses_a_huge_k_at_the_product_cap(tmp_path, capsys):
+    # the solve before the product searches C5 with 5 colors, so this exits
+    # at the cap instead of building k-sized rows
+    src = write_lines(tmp_path / "in.g6", ["DqK"])
+    started = time.perf_counter()
+    assert run(["prism", "--k", "100000", "--input", src]) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr() == ("", "error: input line 1: product has 500000 vertices, cap is 64\n")
+
+
 # ---------------------------------------------------------------------------
 # codec
 # ---------------------------------------------------------------------------

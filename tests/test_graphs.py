@@ -223,6 +223,11 @@ def test_disjoint_union_shifts_the_second_graph():
     assert not any(g.has_edge(u, v) for u in range(3) for v in (3, 4))
 
 
+def test_disjoint_union_refuses_past_the_vertex_cap():
+    with pytest.raises(UnsupportedSizeError, match=r"vertex count 65 outside 0\.\.64"):
+        disjoint_union(Graph.empty(40), Graph.empty(25))
+
+
 def test_induced_subgraph_of_cycle_prefix():
     sub, vmap = induced_subgraph(cycle_graph(5), 0b00111)
     assert vmap == (0, 1, 2)

@@ -3,6 +3,7 @@ module-level name it defines; every source file parses at the oldest
 Python the project supports."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -54,6 +55,17 @@ def test_no_unread_module_level_name():
             unread += [f"{name}:{line} {d}" for d, line in defined
                        if not d.startswith("__") and d not in read | exported]
     assert not unread, unread
+
+
+def test_console_script_resolves_to_a_callable():
+    # CI installs the script but never runs it; a renamed entry point shows here
+    section = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)",
+                        (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert section, "[project.scripts] not found in pyproject.toml"
+    entries = re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', section.group(1), re.M)
+    assert entries
+    for name, module, attr in entries:
+        assert callable(getattr(importlib.import_module(module), attr, None)), name
 
 
 def test_sources_parse_at_the_oldest_supported_python():

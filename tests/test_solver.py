@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,13 @@ def test_labeling_rejects_out_of_range():
         Labeling(2, (0, 3))
     with pytest.raises(ValueError):
         Labeling(0, ())
+
+
+def test_labeling_refuses_an_unassigned_vertex():
+    # validate would call such a labeling feasible, of weight 0
+    with pytest.raises(ValueError, match="vertex 1 has no label"):
+        Labeling(2, (0, None, None))
+    assert PartialLabeling(2, (0, None, None)).unassigned() == (1, 2)
 
 
 def test_labeling_text_roundtrip():
@@ -183,6 +192,32 @@ def test_bnb_matches_brute_values_and_witnesses_small():
                 b = gamma_bnb(g, k)
                 assert a.value == b.value, encode_graph6(g)
                 assert a.witness == b.witness, encode_graph6(g)
+
+
+def test_bnb_past_the_max_degree_matches_brute():
+    # a component of n vertices is searched with min(k, n) colors; the value
+    # and the lex-min witness stay those of the caller's k
+    pairs = 0
+    for n in range(6):
+        for g in enumerate_nonisomorphic(n):
+            for k in range(1, max(g.degrees(), default=0) + 4):
+                a = gamma_brute(g, k)
+                b = gamma_bnb(g, k)
+                assert (a.value, a.witness) == (b.value, b.witness), (encode_graph6(g), k)
+                pairs += 1
+    assert pairs == 285
+
+
+def test_bnb_answers_a_huge_k_in_one_node():
+    # k = 10**6 colors on C5 are searched as 5, so no row has k-sized masks
+    tracemalloc.start()
+    started = time.perf_counter()
+    res = gamma_bnb(cycle_graph(5), 10**6)
+    elapsed = time.perf_counter() - started
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (res.value, res.witness, res.nodes_explored) == (5, Labeling(10**6, (1, 2, 1, 2, 3)), 1)
+    assert elapsed < 1 and peak < 1 << 20
 
 
 def test_bnb_matches_brute_on_seeded_random_graphs():
@@ -411,6 +446,12 @@ def test_extension_rejects_wrong_order_set():
         extend_greedy(path_graph(3), PartialLabeling(2, (None, 1, None)), (0,))
     with pytest.raises(ValueError):
         extend_greedy(path_graph(3), PartialLabeling(2, (None, 1, None)), (0, 1))
+
+
+def test_extension_refuses_a_one_shot_order():
+    # the order check consumes an iterator, which then labels no vertex
+    with pytest.raises(ValueError, match="vertex 0 has no label"):
+        extend_greedy(path_graph(3), PartialLabeling(2, (None, 1, None)), iter((0, 2)))
 
 
 def test_extension_rejects_infeasible_partial():
