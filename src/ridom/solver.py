@@ -196,7 +196,7 @@ def gamma_brute(g: Graph, k: int, budget: SolverBudget = DEFAULT_BUDGET) -> Solv
     return SolveResult(best_w, Labeling(k, best), (k + 1) ** g.n)
 
 
-def extend_greedy(g: Graph, partial: PartialLabeling, order: Sequence[int]) -> Labeling:
+def extend_greedy(g: Graph, partial: PartialLabeling, order: Iterable[int]) -> Labeling:
     """Complete a feasible partial labeling one vertex at a time.
 
     Each vertex of ``order`` (which must list exactly the unassigned vertices)
@@ -209,6 +209,7 @@ def extend_greedy(g: Graph, partial: PartialLabeling, order: Sequence[int]) -> L
     """
     if len(partial.assigned) != g.n:
         raise ValueError(f"partial covers {len(partial.assigned)} vertices, graph has {g.n}")
+    order = tuple(order)
     if sorted(order) != sorted(partial.unassigned()):
         raise ValueError("order must list exactly the unassigned vertices")
     k = partial.k
@@ -250,22 +251,22 @@ def _bnb_component(
 
     - Bound.  Each undominated pair needs one of its free dominators, and a
       vertex of degree < k can never be 0, so its layer ``{(v, c)}`` needs
-      a pair of its own while v is not in the set.  Those layers, then the
-      dominator sets smallest first, are packed greedily into a pairwise
-      disjoint family; a node is pruned when its size plus the packing
-      reaches the best weight known, at first the greedy first-fit weight.
+      a pair of its own while v is not in the set.  Those layers in vertex
+      order, then the dominator sets smallest first, are packed greedily
+      into one pairwise disjoint family; a node is pruned when its size plus
+      the packing reaches the best weight known (first-fit's at first).
     - Color symmetry.  With colors ``0..m-1`` in use, permuting the unused
       colors maps the node to itself as long as every exclusion is a union
       of orbits: single pairs of used colors, and per vertex v the set
       ``{(v, c) : c >= m}``.  An undominated ``(v, c)`` with c > m has the
       same dominators, up to that permutation, as ``(v, m)``, so only pairs
       of color <= m are picked and branched on, ``(v, m)`` standing for its
-      orbit; the later branches then exclude the whole orbit.  Any solution
-      in such a later branch holding ``(v, c)``, c >= m, turns by swapping
-      colors c and m into one of equal weight holding ``(v, m)`` and
-      avoiding the same exclusions, which the ``(v, m)`` branch covered.
-      Choosing ``(v, m)`` only splits orbits, so exclusions stay unions of
-      orbits below it.
+      orbit; the later branches then exclude the whole orbit, the pairs
+      ``(v, c)`` with c >= m.  Any solution in such a branch holding one of
+      them turns by swapping colors c and m into one of equal weight
+      holding ``(v, m)`` and avoiding the same exclusions, which the
+      ``(v, m)`` branch covered.  Choosing ``(v, m)`` only splits orbits,
+      so exclusions stay unions of orbits below it.
     - Witness.  The lex-min optimum uses its colors in first-use order
       (swapping c and c + 1 where c + 1 comes first gives a lex-smaller
       optimum), so the best solution found is kept relabeled that way.
@@ -287,11 +288,8 @@ def _bnb_component(
     limit = max_nodes - spent
     full = (1 << n * k) - 1
     layer = (1 << k) - 1
-    # beyond[m]: the pairs of color >= m; upto[m]: those of color <= m
-    beyond = [0] * (k + 2)
-    for c in range(k - 1, -1, -1):
-        beyond[c] = beyond[c + 1] | full // layer << c
-    upto = [full & ~beyond[m + 1] for m in range(k + 1)]
+    # upto[m]: the pairs of color <= m (``full // layer`` holds color 0's)
+    upto = [full // layer * ((2 << min(m, k - 1)) - 1) for m in range(k + 1)]
     # closed[v*k + c]: the pairs that (v, c) dominates, itself included
     closed = prism_closed_rows(adj, k)
     forced = [layer << v * k for v in range(n) if adj[v].bit_count() < k]
@@ -359,7 +357,7 @@ def _bnb_component(
             c = p % k
             if search(chosen | 1 << p, dom | closed[p], free & ~closed[p], size + 1, m + (c == m)):
                 return True
-            free &= ~(beyond[m] & layer << p - c if c == m else 1 << p)
+            free &= ~(layer >> c << p if c == m else 1 << p)
         return False
 
     def labels_of(chosen: int) -> list[int]:
@@ -497,8 +495,8 @@ def prism_check(g: Graph, k: int, budget: SolverBudget = DEFAULT_BUDGET) -> Pris
     ``i`` becomes ``(v, i)``) and validates that the lift is an independent
     dominating set of the same size.
     """
-    gamma = gamma_bnb(g, k, budget)
     prism = prism_product(g, k)
+    gamma = gamma_bnb(g, k, budget)
     ids = independent_domination(prism, budget)
     lifted = 0
     for v, lab in enumerate(gamma.witness.labels):

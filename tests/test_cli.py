@@ -460,8 +460,8 @@ def test_prism_happy_path(tmp_path, capsys):
 
 
 def test_prism_refuses_a_huge_k_at_the_product_cap(tmp_path, capsys):
-    # the solve before the product searches C5 with 5 colors, so this exits
-    # at the cap instead of building k-sized rows
+    # the product's cap is checked before any solve, so this exits at once
+    # instead of searching C5 or building k-sized rows
     src = write_lines(tmp_path / "in.g6", ["DqK"])
     started = time.perf_counter()
     assert run(["prism", "--k", "100000", "--input", src]) == 2

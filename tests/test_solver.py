@@ -20,8 +20,10 @@ from gtools import (
     ref_gamma_rik,
     ref_independent_domination_number,
 )
+from ridom import solver
 from ridom.graphs import (
     Graph,
+    UnsupportedSizeError,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -283,9 +285,9 @@ def test_value_only_bnb_agrees_on_all_small_classes():
                 if n == 6:
                     saved[k][0] += fast
                     saved[k][1] += full
-    # the 156 classes at n = 6: the witness phase costs nodes at every k
-    for k, (fast, full) in saved.items():
-        assert fast < full, k
+    # the exact totals over the 156 classes at n = 6, first phase and both
+    # phases, so a change to either phase that alters the search shows here
+    assert saved == {1: [670, 1_280], 2: [1_347, 2_282], 3: [1_989, 3_135]}
 
 
 def test_value_only_bnb_agrees_beyond_brute_reach():
@@ -448,10 +450,10 @@ def test_extension_rejects_wrong_order_set():
         extend_greedy(path_graph(3), PartialLabeling(2, (None, 1, None)), (0, 1))
 
 
-def test_extension_refuses_a_one_shot_order():
-    # the order check consumes an iterator, which then labels no vertex
-    with pytest.raises(ValueError, match="vertex 0 has no label"):
-        extend_greedy(path_graph(3), PartialLabeling(2, (None, 1, None)), iter((0, 2)))
+def test_extension_labels_a_one_shot_order_as_its_tuple():
+    p3 = path_graph(3)
+    partial = PartialLabeling(2, (None, 1, None))
+    assert extend_greedy(p3, partial, iter((0, 2))) == extend_greedy(p3, partial, (0, 2))
 
 
 def test_extension_rejects_infeasible_partial():
@@ -583,6 +585,14 @@ def test_prism_single_layer_reduces_to_independent_domination():
     for g in filter(is_connected, enumerate_nonisomorphic(5)):
         report = prism_check(g, 1)
         assert report.equal and report.lifted_valid
+
+
+def test_prism_refuses_the_product_cap_before_solving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "gamma_bnb", lambda *args, **kw: calls.append(args))
+    with pytest.raises(UnsupportedSizeError, match="product has 65 vertices, cap is 64"):
+        prism_check(cycle_graph(5), 13)
+    assert calls == []
 
 
 def test_prism_three_layers_spot_checks():
