@@ -7,7 +7,7 @@ verifier for the complement-sum bounds, and an executable reduction from
 bipartite domination.
 """
 
-from .families import Family, GraphClass, classify_connected, classify_graph, predict_gamma_ri2
+from .families import Family, GraphClass, classify_connected, classify_graph
 from .graphs import (
     Graph,
     Graph6ParseError,

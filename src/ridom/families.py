@@ -107,12 +107,3 @@ def classify_graph(g: Graph) -> GraphClass:
     """Classify ``g`` of any order; below 3 vertices every component is tiny."""
     big = [part for part, _ in components(g) if part.n >= 3]
     return GraphClass(g.n, _family(big[0]) if len(big) == 1 else Family.NONE, not big)
-
-
-def predict_gamma_ri2(g: Graph) -> Optional[int]:
-    """Structure-only prediction of the 2-rainbow value, where one exists.
-
-    Returns ``n`` for all-tiny-component graphs, ``n - 1`` when the graph
-    matches the extremal shape, and None otherwise.
-    """
-    return classify_graph(g).predicted

@@ -245,21 +245,25 @@ def _bnb_component(
     independent dominating set of w pairs.  A node holds the chosen pairs,
     the pairs they dominate and the free pairs, those neither dominated nor
     excluded.  It takes the undominated pair with the fewest branches (see
-    the symmetry rule) and branches on which of its free dominators joins
-    the set, the one dominating most undominated pairs first; each later
+    the symmetry rule), scanning the forced pairs (below) first so that
+    they win ties, and branches on which of its free dominators joins the
+    set, the one dominating most undominated pairs first; each later
     branch excludes the earlier choices.
 
-    - Bound.  Each undominated pair needs one of its free dominators, and a
-      vertex of degree < k can never be 0, so its layer ``{(v, c)}`` needs
-      a pair of its own while v is not in the set.  Those layers in vertex
-      order, then the dominator sets smallest first, are packed greedily
-      into one pairwise disjoint family; a node is pruned when its size plus
-      the packing reaches the best weight known (first-fit's at first).
+    - Bound.  Each undominated pair q needs one of its free dominators,
+      ``doms[q] & free``.  ``doms[q]`` is ``closed[q]`` unless q is forced,
+      a pair of a vertex v of degree < k: v can never be 0, so every
+      solution holds a free pair of v's layer, which dominates all of v's
+      pairs, and ``doms[q]`` is that layer.  These sets, smallest first,
+      are packed greedily into one pairwise disjoint family; a node is
+      pruned when its size plus the packing reaches the best weight known
+      (first-fit's at first).
     - Color symmetry.  With colors ``0..m-1`` in use, permuting the unused
       colors maps the node to itself as long as every exclusion is a union
       of orbits: single pairs of used colors, and per vertex v the set
       ``{(v, c) : c >= m}``.  An undominated ``(v, c)`` with c > m has the
-      same dominators, up to that permutation, as ``(v, m)``, so only pairs
+      same dominators, up to that permutation, as ``(v, m)`` (a layer is a
+      union of orbits, so this holds for ``doms`` too), so only pairs
       of color <= m are picked and branched on, ``(v, m)`` standing for its
       orbit; the later branches then exclude the whole orbit, the pairs
       ``(v, c)`` with c >= m.  Any solution in such a branch holding one of
@@ -292,7 +296,10 @@ def _bnb_component(
     upto = [full // layer * ((2 << min(m, k - 1)) - 1) for m in range(k + 1)]
     # closed[v*k + c]: the pairs that (v, c) dominates, itself included
     closed = prism_closed_rows(adj, k)
-    forced = [layer << v * k for v in range(n) if adj[v].bit_count() < k]
+    # forced: the pairs of the vertices of degree < k; doms[q]: the pairs
+    # that may dominate q in a solution (see Bound above)
+    forced = sum(layer << v * k for v in range(n) if adj[v].bit_count() < k)
+    doms = [layer << q - q % k if forced >> q & 1 else closed[q] for q in range(n * k)]
     nodes = 0
     # the search prunes at weight ``best`` and records each set it completes;
     # ``first`` makes it stop at the first one (the decision searches)
@@ -313,33 +320,25 @@ def _bnb_component(
             return first
         if size + 1 >= best:  # one more pair at least: the cheapest bound
             return False
-        bound = size
-        packed = 0
-        for own in forced:
-            if own & undom:
-                s = own & free
-                if not s:
-                    return False
-                if not s & packed:
-                    packed |= s
-                    bound += 1
         low = upto[m]
         pick = 0
         fewest = n * k + 1
         sets = []
-        rest = undom
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            s = closed[bit.bit_length() - 1] & free
-            if not s:
-                return False
-            sets.append(s)
-            if bit & low:
-                count = (s & low).bit_count()
-                if count < fewest:
-                    fewest, pick = count, s & low
+        for rest in (undom & forced, undom & ~forced):
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                s = doms[bit.bit_length() - 1] & free
+                if not s:
+                    return False
+                sets.append(s)
+                if bit & low:
+                    count = (s & low).bit_count()
+                    if count < fewest:
+                        fewest, pick = count, s & low
         sets.sort(key=int.bit_count)
+        bound = size
+        packed = 0
         for s in sets:
             if not s & packed:
                 packed |= s

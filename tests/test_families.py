@@ -10,7 +10,6 @@ from ridom.families import (
     GraphClass,
     classify_connected,
     classify_graph,
-    predict_gamma_ri2,
 )
 from ridom.graphs import (
     Graph,
@@ -122,10 +121,10 @@ def test_classify_graph_answers_tiny_input():
 # ---------------------------------------------------------------------------
 
 def test_prediction_examples():
-    assert predict_gamma_ri2(disjoint_union(complete_graph(2), complete_graph(2))) == 4
-    assert predict_gamma_ri2(cycle_graph(5)) == 4
-    assert predict_gamma_ri2(cycle_graph(4)) is None
-    assert predict_gamma_ri2(Graph.empty(0)) == 0
+    assert classify_graph(disjoint_union(complete_graph(2), complete_graph(2))).predicted == 4
+    assert classify_graph(cycle_graph(5)).predicted == 4
+    assert classify_graph(cycle_graph(4)).predicted is None
+    assert classify_graph(Graph.empty(0)).predicted == 0
 
 
 def test_connected_equivalence_small():
@@ -143,7 +142,7 @@ def test_whole_graph_equivalence_small():
             cls = classify_graph(g)
             assert cls.matches_n_minus_1 == (value == n - 1), encode_graph6(g)
             assert cls.trivially_small == (value == n), encode_graph6(g)
-            predicted = predict_gamma_ri2(g)
+            predicted = cls.predicted
             if predicted is not None:
                 assert predicted == value, encode_graph6(g)
 
