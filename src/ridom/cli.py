@@ -18,19 +18,19 @@ Each subcommand is declared once, on its subparser: a row function, which
 turns one input graph into its record, the tallies its summary sums, the
 options its summary echoes and an optional last step over the spooled
 records.  The parsed arguments are the run's configuration, which rows and
-pool workers receive as they are.  All subcommands run on one pipeline:
-``--workers N`` streams the input graphs through a pool of N processes, at
-most one per CPU, in tasks of ``NG_CHUNK`` graphs, with at most twice as
-many tasks in flight as the pool has processes (``--workers 1`` runs the
-same tasks inline, one at a time).  A task parses its graph6 lines and runs
-their rows, and names the input line of the first that fails.  Under
-``--enumerate N``, ``ng`` first builds a table of one value per edge mask,
-with the complement's at the mirror entry, solving one graph and its
-complement per complementary pair of isomorphism classes
-(:func:`~ridom.nordhaus.enumeration_values`).  Each graph travels with its
-two table values, so its row never solves: 156 solver calls for the 32,768
-graphs on 6 vertices and 1,044 for the 2,097,152 on 7.  The report and the
-solver's work are the same on every run and for any worker count.
+pool workers receive as they are.  All subcommands run on one pipeline: the
+source yields tasks of ``NG_CHUNK`` graphs, which ``--workers N`` runs on a
+pool of N processes, at most one per CPU, with at most twice as many tasks in
+flight as the pool has processes (``--workers 1`` runs them inline, one at a
+time).  A task parses its graph6 lines in turn with their rows, and names the
+input line of the first that fails.  Under ``--enumerate N`` a task is a
+range of edge masks whose graphs its worker builds, and ``ng`` first builds a
+table of one value per edge mask, solving one graph and its complement per
+complementary pair of isomorphism classes
+(:func:`~ridom.nordhaus.enumeration_values`).  A task carries its slices of
+the table and of its mirror, so no row solves: 156 solver calls for the
+32,768 graphs on 6 vertices and 1,044 for the 2,097,152 on 7.  The report
+and the solver's work are the same on every run and for any worker count.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .graphs import (
     encode_graph6,
     enumerate_labeled_graphs,
     enumerate_nonisomorphic,
+    labeled_masks,
     looks_like_edge_list,
     parse_edge_list,
     parse_graph6,
@@ -89,7 +90,7 @@ EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
-# the pipeline hands the pool this many graphs per task
+# graphs per task: the lines or graphs a task carries, or the masks it builds
 NG_CHUNK = 512
 
 
@@ -182,26 +183,35 @@ def _build_parser() -> ArgumentParser:
 _Item = tuple[int, Optional[str], Optional[Graph], Optional[tuple[int, int]]]
 
 
-def _iter_inputs(cfg: Namespace) -> Iterator[_Item]:
-    """Yield (line number, graph6 line or None, graph or None, known values or
-    None) from the configured source.  A graph6 line comes without its graph,
-    which its task parses.  A generated source below ``--min-n`` yields
-    nothing and builds nothing, but an order past its source's cap still
-    refuses.  Values are known only from a subcommand's value table
-    (``cfg.table``) under ``--enumerate N``: item i is the graph of edge mask
-    i - 1, whose complement is the mirror mask, at entry -i.  Other input is
-    read a line at a time, unless its first non-blank line is an ``n m``
-    header: then it is one edge-list graph, read whole."""
+def _iter_inputs(cfg: Namespace) -> Iterator[list[_Item] | tuple]:
+    """Yield the source's tasks of ``NG_CHUNK`` graphs: lists of items, or under
+    ``--enumerate N`` mask ranges ``(lo, hi, a, b)``, ``a`` and ``b`` None or
+    the slices ``lo:hi`` of ``cfg.table`` and of its mirror (each mask's
+    complement's value).  A generated source below ``--min-n`` yields nothing
+    and builds nothing, but an order past its source's cap still refuses."""
     if cfg.enumerate_n is not None or cfg.noniso_n is not None:
         labeled = cfg.noniso_n is None
         n = cfg.enumerate_n if labeled else cfg.noniso_n
         if n < cfg.min_n and n <= (LABELED_ENUM_MAX_VERTICES if labeled else CANONICAL_MAX_VERTICES):
             return
-        table = cfg.table(n, cfg.budget) if labeled and cfg.table is not None else None
-        graphs = enumerate_labeled_graphs(n) if labeled else enumerate_nonisomorphic(n)
-        for i, g in enumerate(graphs, start=1):
-            yield i, None, g, None if table is None else (table[i - 1], table[-i])
-        return
+        if labeled:
+            table = bytes(cfg.table(n, cfg.budget)) if cfg.table is not None else None
+            mirror = table and table[::-1]
+            for lo in range(0, len(labeled_masks(n)), NG_CHUNK):
+                hi = lo + NG_CHUNK
+                yield lo, hi, table and table[lo:hi], mirror and mirror[lo:hi]
+            return
+        items = ((i, None, g, None) for i, g in enumerate(enumerate_nonisomorphic(n), start=1))
+    else:
+        items = _read_lines(cfg)
+    while batch := list(itertools.islice(items, NG_CHUNK)):
+        yield batch
+
+
+def _read_lines(cfg: Namespace) -> Iterator[_Item]:
+    """The (line number, graph6 line or None, graph or None, None) items of
+    ``--input`` or stdin: one per graph6 line, which its task parses, or one
+    edge-list graph, read whole when the first non-blank line is ``n m``."""
     # decoded as stdin is: a stray byte reaches the parser, which names its line
     source = (nullcontext(sys.stdin) if cfg.input_path is None
               else open(cfg.input_path, encoding="utf-8", errors="surrogateescape"))
@@ -249,10 +259,16 @@ class _InlinePool:
         return fut
 
 
-def _task(items: list[_Item], cfg: Namespace) -> list:
-    """One task: the rows of ``items`` of order ``--min-n`` or more.  Graph6
-    lines are parsed here, in turn with the rows, and a line whose parse or
-    row fails is named here, so the first failing line fails the run."""
+def _task(items: list[_Item] | tuple, cfg: Namespace) -> list:
+    """One task: the rows of ``items`` of order ``--min-n`` or more.  A mask
+    range expands here into an item per mask m, on line m + 1.  Graph6 lines
+    are parsed here, in turn with the rows, and a line whose parse or row
+    fails is named here, so the first failing line fails the run."""
+    if not isinstance(items, list):
+        lo, hi, a, b = items
+        graphs = enumerate_labeled_graphs(cfg.enumerate_n, lo, hi)
+        items = zip(itertools.count(lo + 1), itertools.repeat(None), graphs,
+                    itertools.repeat(None) if a is None else zip(a, b))
     rows = []
     for lineno, text, g, known in items:
         try:
@@ -266,14 +282,13 @@ def _task(items: list[_Item], cfg: Namespace) -> list:
 
 
 def _stream(cfg: Namespace, pool: ProcessPoolExecutor | _InlinePool, window: int) -> Iterator:
-    """Rows of the input stream in order, computed ``NG_CHUNK`` graphs a task,
-    with at most ``window`` tasks in flight: a full window waits for its oldest."""
-    items = _iter_inputs(cfg)
+    """Rows of the source's tasks in order, with at most ``window`` tasks in
+    flight: a full window waits for its oldest."""
     pending: deque[Future] = deque()
-    while batch := list(itertools.islice(items, NG_CHUNK)):
+    for task in _iter_inputs(cfg):
         if len(pending) == window:
             yield from pending.popleft().result()
-        pending.append(pool.submit(_task, batch, cfg))
+        pending.append(pool.submit(_task, task, cfg))
     while pending:
         yield from pending.popleft().result()
 

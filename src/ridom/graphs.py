@@ -404,9 +404,9 @@ def labeled_masks(n: int) -> range:
     return range(1 << n * (n - 1) // 2)
 
 
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All labeled graphs on ``n`` vertices, in edge-mask counter order."""
-    for mask in labeled_masks(n):
+def enumerate_labeled_graphs(n: int, lo: int = 0, hi: int | None = None) -> Iterator[Graph]:
+    """The labeled graphs on ``n`` vertices of edge masks ``lo..hi-1``, in counter order."""
+    for mask in labeled_masks(n)[lo:hi]:
         yield labeled_graph(n, mask)
 
 

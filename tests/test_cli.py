@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -166,6 +167,45 @@ def test_ng_seeded_chunks_keep_reports_worker_independent(tmp_path, monkeypatch,
     assert run(["ng", "--enumerate", "5", "--workers", str(workers), "--out", str(out)]) == 0
     text = out.read_text(encoding="ascii")
     assert text.startswith(expected) and text.count("\n") == 1025
+
+
+def test_enumerate_tasks_carry_mask_ranges_not_graphs(tmp_path, monkeypatch):
+    # each worker builds its tasks' graphs, so a task of 512 masks carries
+    # their two table slices, not 512 pickled graphs (about 19 KB at n = 5)
+    held, sizes = [], []
+
+    class GraphSpy(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, Graph):
+                held.append(obj)
+            return None
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            GraphSpy(io.BytesIO()).dump(args)
+            task, _cfg = args
+            sizes.append(len(pickle.dumps(task)))
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.tsv"
+        assert run(["ng", "--enumerate", "5", "--workers", workers, "--out", str(out)]) == 0
+        reports.append(out.read_text(encoding="ascii"))
+    assert reports[0] == reports[1]
+    assert cli.NG_CHUNK == 512 and len(sizes) == 2
+    assert held == [] and max(sizes) < 2048
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("chunk", [3, cli.NG_CHUNK])
+def test_enumerate_failure_names_its_mask_line(monkeypatch, capsys, chunk, workers):
+    # mask 7 is the triangle, item 8; at 3 masks a task it is the second
+    # mask of the third range, so a wrong offset in the expansion shows
+    monkeypatch.setattr(cli, "NG_CHUNK", chunk)
+    assert run(["reduce", "--enumerate", "3", "--workers", workers]) == 2
+    assert capsys.readouterr() == ("", "error: input line 8: graph is not bipartite\n")
 
 
 @pytest.mark.parametrize("chunk", [7, cli.NG_CHUNK])

@@ -14,9 +14,11 @@ from ridom.nordhaus import ng_record
 from workloads import FROZEN_SOLVE_SEEDS, REFERENCE_DIR, read_reference, solve_hard_instances
 
 
-def test_ng_enum6_report_matches_its_reference(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_ng_enum6_report_matches_its_reference(tmp_path, workers):
+    # the workload runs on two workers; one worker runs the same tasks inline
     out = tmp_path / "ng.tsv"
-    assert run(["ng", "--enumerate", "6", "--workers", "1", "--out", str(out)]) == 0
+    assert run(["ng", "--enumerate", "6", "--workers", workers, "--out", str(out)]) == 0
     assert out.read_text(encoding="ascii").splitlines() == read_reference(REFERENCE_DIR, "ng-enum6")
 
 
