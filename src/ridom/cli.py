@@ -22,14 +22,15 @@ pool workers receive as they are.  All subcommands run on one pipeline: the
 source yields tasks of ``NG_CHUNK`` graphs, which ``--workers N`` runs on a
 pool of N processes, at most one per CPU, with at most twice as many tasks in
 flight as the pool has processes (``--workers 1`` runs them inline, one at a
-time).  A task parses its graph6 lines in turn with their rows, and names the
-input line of the first that fails.  Under ``--enumerate N`` a task is a
-range of edge masks whose graphs its worker builds, and ``ng`` first builds a
-table of one value per edge mask, solving one graph and its complement per
-complementary pair of isomorphism classes
-(:func:`~ridom.nordhaus.enumeration_values`).  A task carries its slices of
-the table and of its mirror, so no row solves: 156 solver calls for the
-32,768 graphs on 6 vertices and 1,044 for the 2,097,152 on 7.  The report
+time).  A task parses its graph6 lines in turn with their rows, names the
+input line of the first that fails, and returns its records as one block of
+report lines with their count and tally sums, which the parent spools whole.
+Under ``--enumerate N`` a task is a range of edge masks whose graphs its
+worker builds, and ``ng`` first builds a table of one value per edge mask,
+solving one graph and its complement per complementary pair of isomorphism
+classes (:func:`~ridom.nordhaus.enumeration_values`).  A task carries its
+slices of the table and of its mirror, so no row solves: 156 solver calls for
+the 32,768 graphs on 6 vertices and 1,044 for the 2,097,152 on 7.  The report
 and the solver's work are the same on every run and for any worker count.
 """
 
@@ -239,7 +240,7 @@ def _write_report(cfg: Namespace, spool: IO[str], summary: dict) -> None:
     sink = (nullcontext(sys.stdout) if cfg.out_path is None
             else open(cfg.out_path, "w", encoding="ascii"))
     with sink as fh:
-        shutil.copyfileobj(spool, fh)
+        shutil.copyfileobj(spool, fh, 1 << 14)  # fixed chunks bound the copy's memory
         fh.write(json.dumps(summary, sort_keys=True) + "\n")
         # flushed here, so a vanished reader surfaces as an exit code
         # rather than as an error at interpreter shutdown
@@ -259,11 +260,12 @@ class _InlinePool:
         return fut
 
 
-def _task(items: list[_Item] | tuple, cfg: Namespace) -> list:
-    """One task: the rows of ``items`` of order ``--min-n`` or more.  A mask
-    range expands here into an item per mask m, on line m + 1.  Graph6 lines
-    are parsed here, in turn with the rows, and a line whose parse or row
-    fails is named here, so the first failing line fails the run."""
+def _task(items: list[_Item] | tuple, cfg: Namespace) -> tuple[str, int, list[int]]:
+    """One task: the rows of ``items`` of order ``--min-n`` or more, as one block
+    of their report lines, their number and each tally's sum.  A mask range
+    expands here into an item per mask m, on line m + 1.  Graph6 lines are
+    parsed here, in turn with the rows, and a line whose parse or row fails
+    is named here, so the first failing line fails the run."""
     if not isinstance(items, list):
         lo, hi, a, b = items
         graphs = enumerate_labeled_graphs(cfg.enumerate_n, lo, hi)
@@ -278,23 +280,24 @@ def _task(items: list[_Item] | tuple, cfg: Namespace) -> list:
                 rows.append(cfg.row(g, text, known, cfg))
         except (ValueError, BudgetExceededError) as err:
             raise _input_error(lineno, err) from err
-    return rows
+    block = "".join(line + "\n" for line, _ in rows)
+    return block, len(rows), [sum(col) for col in zip(*(tallies for _, tallies in rows))]
 
 
 def _stream(cfg: Namespace, pool: ProcessPoolExecutor | _InlinePool, window: int) -> Iterator:
-    """Rows of the source's tasks in order, with at most ``window`` tasks in
-    flight: a full window waits for its oldest."""
+    """The source's ``_task`` results in order, one block per task, with at most
+    ``window`` tasks in flight: a full window waits for its oldest."""
     pending: deque[Future] = deque()
     for task in _iter_inputs(cfg):
         if len(pending) == window:
-            yield from pending.popleft().result()
+            yield pending.popleft().result()
         pending.append(pool.submit(_task, task, cfg))
     while pending:
-        yield from pending.popleft().result()
+        yield pending.popleft().result()
 
 
 def _rows(cfg: Namespace) -> Iterator:
-    """The rows of every input graph, in input order, on ``cfg.workers`` processes."""
+    """Each task's ``_task`` result, in input order, on ``cfg.workers`` processes."""
     if cfg.workers == 1:
         yield from _stream(cfg, _InlinePool(), window=1)
         return
@@ -312,7 +315,7 @@ def _rows(cfg: Namespace) -> Iterator:
 
 
 def _tally(cfg: Namespace) -> int:
-    """Report the rows of ``cfg.row`` under one summary line.
+    """Report the rows of ``cfg.row``, a task's block at a time, under one summary line.
 
     The summary holds the command, the options named in ``cfg.head``, the
     record count and the sum of each tally named in ``cfg.names``.
@@ -327,11 +330,11 @@ def _tally(cfg: Namespace) -> int:
         **dict.fromkeys(cfg.names, 0),
     }
     with tempfile.TemporaryFile("w+", encoding="ascii") as spool:
-        for line, tallies in _rows(cfg):
-            spool.write(line + "\n")
-            summary["records"] += 1
-            for name, tally in zip(cfg.names, tallies):
-                summary[name] += tally
+        for block, count, sums in _rows(cfg):
+            spool.write(block)
+            summary["records"] += count
+            for name, total in zip(cfg.names, sums):
+                summary[name] += total
         if cfg.finish is not None:
             cfg.finish(cfg, summary, spool)
         _write_report(cfg, spool, summary)
@@ -343,13 +346,13 @@ def _tally(cfg: Namespace) -> int:
 # subcommands: a row function each, and the summary of its rows
 #
 # A row takes (graph, graph6 line or None, known values or None, parsed
-# arguments) and returns the graph's record: a (report line, tallies) pair
-# for ``_tally``.  The known values, the graph's and its complement's, come
-# only from ``ng``'s ``--enumerate`` table.  A row refuses a graph with a
-# ``ValueError``, which ``_task`` tags with the graph's input line.  Rows run
-# in pool workers, so they are module-level functions, and they call the
-# solvers and the codec through this module's globals.  ``_build_parser``
-# declares each subcommand with its row.
+# arguments) and returns the graph's record: a (report line, tallies) pair,
+# which ``_task`` joins into its block.  The known values, the graph's and
+# its complement's, come only from ``ng``'s ``--enumerate`` table.  A row
+# refuses a graph with a ``ValueError``, which ``_task`` tags with the
+# graph's input line.  Rows run in pool workers, so they are module-level
+# functions, and they call the solvers and the codec through this module's
+# globals.  ``_build_parser`` declares each subcommand with its row.
 
 
 def _tsv(*fields: object) -> str:

@@ -4,7 +4,9 @@ Vertices are integers ``0..n-1`` and the adjacency structure is one int bit
 row per vertex, so neighborhood algebra is plain integer arithmetic.  Graphs
 are immutable and safe to share across worker processes.  Everything here is
 capped at 64 vertices; the codec and the canonical form have tighter caps and
-reject larger inputs loudly instead of degrading.
+reject larger inputs loudly instead of degrading.  ``Graph(n, adj)``,
+``from_edges``, ``disjoint_union`` and the graph6 parser check rows where
+they enter; the builders deriving them from a valid graph or mask do not.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ def bits(mask: int) -> Iterator[int]:
 class Graph:
     """Simple undirected graph on ``n`` vertices as a tuple of bit rows.
 
-    ``adj[v]`` has bit ``u`` set iff ``uv`` is an edge.  Rows must be
-    symmetric and loop-free; construction validates this.
+    ``adj[v]`` has bit ``u`` set iff ``uv`` is an edge.  Rows must be symmetric
+    and loop-free; ``Graph(n, adj)`` validates this, internal builders trust it.
     """
 
     n: int
@@ -111,9 +113,17 @@ class Graph:
         return cls(n, (0,) * n)
 
 
+def _built(n: int, adj: tuple[int, ...]) -> Graph:
+    """``Graph(n, adj)`` unchecked, for rows the caller built valid."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    return Graph(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj)))
+    return _built(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -124,7 +134,7 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     for old, row in enumerate(g.adj):
         for u in bits(row):
             rows[perm[old]] |= 1 << perm[u]
-    return Graph(g.n, tuple(rows))
+    return _built(g.n, tuple(rows))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -148,7 +158,7 @@ def induced_subgraph(g: Graph, vertex_mask: int) -> tuple[Graph, tuple[int, ...]
         for u in bits(g.adj[v] & vertex_mask):
             row |= 1 << pos[u]
         rows.append(row)
-    return Graph(len(vmap), tuple(rows)), vmap
+    return _built(len(vmap), tuple(rows)), vmap
 
 
 def bfs_layers(g: Graph, seed: int) -> Iterator[int]:
@@ -214,7 +224,7 @@ def prism_product(g: Graph, k: int) -> Graph:
     if g.n * k > MAX_VERTICES:
         raise UnsupportedSizeError(f"product has {g.n * k} vertices, cap is {MAX_VERTICES}")
     rows = prism_closed_rows(g.adj, k)
-    return Graph(g.n * k, tuple(row & ~(1 << p) for p, row in enumerate(rows)))
+    return _built(g.n * k, tuple(row & ~(1 << p) for p, row in enumerate(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +291,7 @@ def _graph_of_pairs(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> Grap
         rows[i] |= 1 << j
         rows[j] |= 1 << i
         mask ^= low
-    return Graph(n, tuple(rows))
+    return _built(n, tuple(rows))
 
 
 def _byte_name(ch: str) -> str:
@@ -386,6 +396,8 @@ def parse_edge_list(text: str) -> Graph:
 def labeled_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """The vertex pair of each edge bit of :func:`labeled_graph`'s mask:
     bit ``b`` is the ``b``-th pair in lexicographic order (01, 02, ..., 12, ...)."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise UnsupportedSizeError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     return tuple(itertools.combinations(range(n), 2))
 
 
@@ -492,7 +504,7 @@ def canonical_form(g: Graph) -> bytes:
 def _with_new_vertex(g: Graph, nbr_mask: int) -> Graph:
     rows = [row | ((nbr_mask >> v & 1) << g.n) for v, row in enumerate(g.adj)]
     rows.append(nbr_mask)
-    return Graph(g.n + 1, tuple(rows))
+    return _built(g.n + 1, tuple(rows))
 
 
 @lru_cache(maxsize=None)

@@ -198,6 +198,62 @@ def test_enumerate_tasks_carry_mask_ranges_not_graphs(tmp_path, monkeypatch):
     assert held == [] and max(sizes) < 2048
 
 
+def test_task_results_are_one_block_not_a_row_list(monkeypatch):
+    # a task of 512 records comes back as its joined lines, their count and
+    # one sum per status, so the parent unpickles three objects per task
+    futures = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            futures.append(super().submit(fn, *args))
+            return futures[-1]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert run(["ng", "--enumerate", "5", "--workers", "2", "--out", os.devnull]) == 0
+    assert cli.NG_CHUNK == 512 and len(futures) == 2
+    for fut in futures:
+        result = fut.result()
+        block, count, sums = result
+        assert type(block) is str and type(count) is int and type(sums) is list
+        assert count == 512 == block.count("\n") and block.endswith("\n")
+        assert len(sums) == len(nordhaus.ALL_STATUSES) and sum(sums) == count
+        assert len(pickle.dumps(result)) < len(block) + 200
+
+
+# orders 3, 4, 2 and 5 in runs, so that under --min-n 4 the first two tasks
+# of 7 lines, and every task of one line of order 2 or 3, has no record
+MIXED_ORDER_LINES = [encode_graph6(g) for g in enumerate_nonisomorphic(3)] * 4 + [
+    encode_graph6(g) for n in (4, 2, 5) for g in enumerate_nonisomorphic(n)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_empty_and_partial_blocks_keep_reports_and_tallies(tmp_path, monkeypatch, chunk, workers):
+    src = write_lines(tmp_path / "in.g6", MIXED_ORDER_LINES)
+    commands = (["ng", "--min-n", "4"], ["classify"])
+
+    def reports(chunk: int, workers: int) -> list[str]:
+        monkeypatch.setattr(cli, "NG_CHUNK", chunk)
+        texts = []
+        for args in commands:
+            out = tmp_path / "r.tsv"
+            assert run(args + ["--input", src, "--workers", str(workers), "--out", str(out)]) == 0
+            texts.append(out.read_text(encoding="ascii"))
+        return texts
+
+    expected = reports(512, 1)
+    assert last_json(expected[0])["records"] == 11 + 34
+    assert last_json(expected[1])["records"] == len(MIXED_ORDER_LINES)
+    results = []
+    if workers == 1:
+        # inline tasks only: a pool pickles ``_task`` by name
+        task = cli._task
+        monkeypatch.setattr(cli, "_task", lambda *args: results.append(task(*args)) or results[-1])
+    assert reports(chunk, workers) == expected
+    # under ng --min-n 4: each of the 18 lines below order 4, or two tasks of 7
+    assert workers > 1 or results.count(("", 0, [])) == (18 if chunk == 1 else 2)
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("chunk", [3, cli.NG_CHUNK])
 def test_enumerate_failure_names_its_mask_line(monkeypatch, capsys, chunk, workers):

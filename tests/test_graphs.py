@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from gtools import brute_canonical, graphs, permutations_of, ref_encode_graph6
 import ridom.graphs
@@ -25,6 +25,7 @@ from ridom.graphs import (
     enumerate_nonisomorphic,
     induced_subgraph,
     is_connected,
+    labeled_graph,
     looks_like_edge_list,
     parse_edge_list,
     parse_graph6,
@@ -57,8 +58,45 @@ def test_constructor_rejects_garbage():
         Graph.from_edges(2, [(0, 2)])  # out of range
     with pytest.raises(ValueError):
         Graph(2, (2, 0))  # asymmetric adjacency rows
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        Graph(2, (0b10, 0b11))  # a loop in otherwise symmetric rows
+    with pytest.raises(ValueError, match=r"^row 0 has bits outside 0\.\.1$"):
+        Graph(2, (0b100, 0))
     with pytest.raises(ValueError):
         Graph.from_edges(100, [])  # above the vertex cap
+
+
+def assert_checked(h: Graph) -> None:
+    """``h``, built without checks, is what ``Graph`` makes of its rows."""
+    assert type(h.adj) is tuple and all(type(row) is int for row in h.adj)
+    checked = Graph(h.n, h.adj)
+    assert checked == h and hash(checked) == hash(h)
+
+
+@given(graphs(max_n=7), st.data())
+def test_trusted_builders_make_graphs_the_constructor_accepts(g, data):
+    assert_checked(complement(g))
+    sub, _ = induced_subgraph(g, data.draw(st.integers(0, g.full_mask)))
+    assert_checked(sub)
+    assert_checked(relabel(g, data.draw(permutations_of(g.n))))
+    for k in (1, 2, 3):
+        assert_checked(prism_product(g, k))
+    for mask in range(1 << g.n):
+        assert_checked(ridom.graphs._with_new_vertex(g, mask))
+
+
+def test_decoders_make_graphs_the_constructor_accepts():
+    for n in range(6):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = labeled_graph(n, mask)
+            assert_checked(g)
+            assert_checked(parse_graph6(encode_graph6(g)))
+
+
+@pytest.mark.parametrize("n", [-1, 65])
+def test_labeled_graph_refuses_orders_past_the_vertex_cap(n):
+    with pytest.raises(UnsupportedSizeError, match=rf"^vertex count {n} outside 0\.\.64$"):
+        labeled_graph(n, 0)
 
 
 def test_graphs_are_hashable_values():
