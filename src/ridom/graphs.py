@@ -439,26 +439,42 @@ def _twin_classes(g: Graph) -> list[int]:
     return ids
 
 
+# the vertices of each mask that canonical_form meets, their count, and that many low 1s
+_VERTICES = [tuple(bits(mask)) for mask in range(1 << CANONICAL_MAX_VERTICES)]
+_SIZE = [len(vertices) for vertices in _VERTICES]
+_FILL = [(1 << size) - 1 for size in _SIZE]
+
+
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant key: the minimal upper-triangle bit string.
 
     The value is the lexicographic minimum, over all vertex orderings, of the
     column-major upper-triangle adjacency bits, packed into bytes behind a
     leading vertex-count byte, so two graphs compare equal exactly when they
-    are isomorphic.
+    are isomorphic.  Column d has d bits, so strings compare column by column
+    and every prefix of a minimal ordering is minimal for its length.
 
-    A partial ordering keeps its unplaced vertices in cells of equal column
-    (the bits against the placed vertices), in ascending column order, and
-    placing ``p`` splits each cell into its non-neighbours and neighbours of
-    ``p``.  Each level keeps the partial orderings tied for the least string;
-    it places each one's first-cell vertices (one per twin class), keeps the
-    splits whose first column is the level's least and appends that column to
-    the key.  That is exact: column d has d bits, so strings compare column by
-    column and a minimal ordering's prefixes are minimal; the first cell holds
-    exactly the unplaced vertices of least column; and swapping two twins is
-    an automorphism fixing every placed vertex.  A level holds at most 240
-    orderings at 8 vertices, but the search is worst case exponential, hence
-    the hard cap of 8 vertices.
+    Phase 1: a column is 0, the least of its length, exactly when its vertex
+    has no edge to an earlier vertex, so a minimal ordering opens with a
+    maximum independent set: alpha - 1 zero columns whatever its inner order.
+    Independent sets grow level by level, as a dict from mask to common
+    non-neighbours, until none grows; the survivors are the maximum ones.
+
+    Phase 2: a state holds the placed vertices as ordered blocks, the parts
+    of the phase 1 set followed by single vertices.  A part is independent
+    and uniform towards every vertex placed after it, so all orderings
+    consistent with the blocks give the same string so far.  An unplaced
+    ``u``'s least column over them puts its non-neighbours first in each
+    block.  A level keeps every (state, ``u``) pair at its least column and
+    appends that column to the key; the new state splits each block into
+    ``u``'s non-neighbours, then its neighbours, and appends the block
+    {``u``}, so a minimal ordering stays consistent with a kept state.
+
+    Both phases extend by one vertex per twin class: swapping two unplaced
+    twins is an automorphism fixing every placed vertex.  At 8 vertices
+    phase 1 keeps at most 26 sets (``G?ABE_``) and phase 2 at most 84 states
+    (``GTnBIk``), but the search is worst case exponential, hence the hard
+    cap of 8 vertices.
     """
     if g.n > CANONICAL_MAX_VERTICES:
         raise UnsupportedSizeError(
@@ -466,38 +482,52 @@ def canonical_form(g: Graph) -> bytes:
         )
     n = g.n
     adj = g.adj
-    class_id = _twin_classes(g)
+    twin = [1 << c for c in _twin_classes(g)]
+    sets = {0: g.full_mask}  # independent set -> its common non-neighbours
+    while True:
+        grown = {}
+        for placed, free in sets.items():
+            tried = 0
+            for v in _VERTICES[free]:
+                if not tried & twin[v]:
+                    tried |= twin[v]
+                    grown[placed | 1 << v] = free & ~(adj[v] | 1 << v)
+        if not grown:
+            break
+        sets = grown
+    states = [([placed], g.full_mask ^ placed) for placed in sets]
     key = 0
-    level = [[(0, g.full_mask)]]  # the (column, mask) cells of each tied ordering
-    for depth in range(1, n):
+    for depth in range(_SIZE[next(iter(sets))], n):
         least = 1 << depth  # above every column of depth bits
         kept = []
-        for cells in level:
-            first = cells[0][1]
+        for blocks, free in states:
             tried = 0
-            while first:
-                low = first & -first
-                first ^= low
-                p = low.bit_length() - 1
-                cid = 1 << class_id[p]
-                if tried & cid:
+            for u in _VERTICES[free]:
+                if tried & twin[u]:
                     continue
-                tried |= cid
-                row = adj[p]
-                split = []
-                for col, mask in cells:
-                    mask &= ~low
-                    if mask & ~row:
-                        split.append((col << 1, mask & ~row))
-                    if mask & row:
-                        split.append((col << 1 | 1, mask & row))
-                col = split[0][0]
-                if col < least:
-                    least, kept = col, []
-                if col == least:
-                    kept.append(split)
+                tried |= twin[u]
+                row = adj[u]
+                col = 0
+                for block in blocks:
+                    col = col << _SIZE[block] | _FILL[block & row]
+                if col <= least:
+                    if col < least:
+                        least, kept = col, []
+                    kept.append((blocks, free, row, u))
         key = key << depth | least
-        level = kept
+        if depth == n - 1:
+            break
+        states = []
+        for blocks, free, row, u in kept:
+            split = []
+            for block in blocks:
+                inside = block & row
+                if inside and inside != block:
+                    split += (block ^ inside, inside)
+                else:
+                    split.append(block)
+            split.append(1 << u)
+            states.append((split, free ^ 1 << u))
     return bytes([n]) + key.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 

@@ -1,12 +1,13 @@
 """Tests for the graph core: codec, transforms, canonical form, enumeration."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtools import brute_canonical, graphs, permutations_of, ref_encode_graph6
+from gtools import brute_canonical, graphs, permutations_of, random_graph, ref_encode_graph6
 import ridom.graphs
 from ridom.graphs import (
     Graph,
@@ -379,21 +380,51 @@ TIE_HEAVY = {
     "Wagner": Graph.from_edges(8, [(i, (i + s) % 8) for i in range(8) for s in (1, 4)]),
     "complement of C8": complement(cycle_graph(8)),
     "2C4": disjoint_union(cycle_graph(4), cycle_graph(4)),
-    # the widest levels of the search over every 8-vertex class: 240
-    # partial orderings tied for the least string
+    # the widest levels of the former level-by-level search over every
+    # 8-vertex class: 240 partial orderings tied for the least string
     "GiC_??": parse_graph6("GiC_??"),
     "G?AAF?": parse_graph6("G?AAF?"),
+    # the widest levels of the current search: 26 maximum independent sets
+    # in phase 1, and 84 (state, vertex) pairs tied for the least column in
+    # phase 2
+    "G?ABE_": parse_graph6("G?ABE_"),
+    "GTnBIk": parse_graph6("GTnBIk"),
 }
 
 
 @pytest.mark.parametrize("name", list(TIE_HEAVY))
 def test_canonical_agrees_with_permutation_minimum_on_tie_heavy_graphs(name):
-    # vertex-transitive and twin-rich graphs keep many vertices tied in the
-    # first cell for several levels, so many partial orderings stay tied for
-    # the least string at once
+    # vertex-transitive and twin-rich graphs keep many independent sets, or
+    # many partial orderings, tied for the least string at once
     g = TIE_HEAVY[name]
     perm = random.Random(name).sample(range(g.n), g.n)
     assert canonical_form(relabel(g, perm)) == brute_canonical(g)
+
+
+@pytest.mark.parametrize("p", [0.15, 0.5, 0.85])
+def test_canonical_agrees_with_permutation_minimum_on_random_7_vertex_graphs(p):
+    # sparse graphs have large independent sets, so a long first phase of
+    # the search; dense ones a long second phase
+    for seed in range(10):
+        rng = random.Random(seed)
+        g = random_graph(rng, 7, p)
+        perm = rng.sample(range(7), 7)
+        assert canonical_form(relabel(g, perm)) == brute_canonical(g), encode_graph6(g)
+
+
+def canonical_digest(n: int) -> str:
+    return hashlib.sha256(b"".join(canonical_form(g) for g in enumerate_nonisomorphic(n))).hexdigest()
+
+
+def test_canonical_keys_of_every_7_vertex_class_are_frozen():
+    # the keys themselves, in enumeration order: a change of the canonical
+    # search that keeps the classes but moves a key fails here
+    assert canonical_digest(7) == "f13b5d9342945face76d4008b29c7aa211b48bfd9e8501739d5f230a12e1a199"
+
+
+@pytest.mark.stretch
+def test_canonical_keys_of_every_8_vertex_class_are_frozen():
+    assert canonical_digest(8) == "5c492e6c82ac0d0f121104418034e6d94949c955bfe574a48f4535821051b474"
 
 
 @given(graphs(min_n=1, max_n=7).flatmap(
